@@ -13,6 +13,10 @@ metric as median/p10/p90.  The suite covers the engine's hot paths:
 * ``docking.poses_scored_per_sec.{batch,scalar}`` — Vina scoring throughput,
   one ``score_coords_batch`` call vs a per-pose ``score_coords`` loop (the
   batch self-checks bit-identity against the scalar scores);
+* ``lattice.conformations_scored_per_sec.{batch,scalar}`` — folding
+  Hamiltonian throughput on a 14-residue fragment, one ``energies`` call vs a
+  per-conformation ``breakdown`` loop (the batch self-checks bit-identity
+  against the per-conformation energies);
 * ``docking.searches_per_sec`` — complete multi-seed Monte-Carlo dock
   searches (each seed is one full search over every pocket);
 * ``dataset.build_seconds.{cold,warm}`` — one-fragment dataset build against
@@ -64,6 +68,9 @@ from repro.vqe.expectation import DiagonalExpectation
 #: Fragment used by the quantum/docking micro-benchmarks (smallest S-group).
 _BENCH_PDB = "3eax"
 _BENCH_SEQUENCE = "RYRDV"
+
+#: A 14-residue L-group fragment (the widest conformation space in the paper).
+_LATTICE_BENCH_SEQUENCE = "YLVTHLMGADLNNI"
 
 #: Distinct baseline-fold jobs for the transport benchmark (pdb, sequence).
 _TRANSPORT_FRAGMENTS = (
@@ -118,6 +125,30 @@ def bench_docking_scoring(config: PipelineConfig, smoke: bool) -> dict[str, floa
     return {
         "docking.poses_scored_per_sec.batch": pose_batch * batch_loops / elapsed_batch,
         "docking.poses_scored_per_sec.scalar": pose_batch / elapsed_scalar,
+    }
+
+
+def bench_lattice_energies(config: PipelineConfig, smoke: bool) -> dict[str, float]:
+    """Folding-Hamiltonian throughput: one batched call vs a per-conformation loop."""
+    hamiltonian = LatticeHamiltonian(_LATTICE_BENCH_SEQUENCE)
+    rng = rng_for(config.seed, "bench-lattice-energies")
+    rows = 1024 if smoke else 4096
+    free = rng.integers(0, 4, size=(rows, len(_LATTICE_BENCH_SEQUENCE) - 3))
+    turns = np.hstack([np.tile([0, 1], (rows, 1)), free])
+    batch_loops = 2 if smoke else 5
+    elapsed_batch = _timed(lambda: hamiltonian.energies(turns), batch_loops)
+    scalar_rows = turns[: rows // 4]
+
+    def scalar_pass():
+        return [hamiltonian.breakdown(t).total for t in scalar_rows]
+
+    elapsed_scalar = _timed(scalar_pass, 1)
+    batch_totals = hamiltonian.energies(scalar_rows).total
+    if not np.array_equal(batch_totals, np.array(scalar_pass())):
+        raise ReproError("batched lattice energies diverged from the scalar path")
+    return {
+        "lattice.conformations_scored_per_sec.batch": rows * batch_loops / elapsed_batch,
+        "lattice.conformations_scored_per_sec.scalar": len(scalar_rows) / elapsed_scalar,
     }
 
 
@@ -351,6 +382,8 @@ METRIC_UNITS: dict[str, str] = {
     "quantum.statevector_gates_per_sec.compiled": "gates/s",
     "docking.poses_scored_per_sec.batch": "poses/s",
     "docking.poses_scored_per_sec.scalar": "poses/s",
+    "lattice.conformations_scored_per_sec.batch": "conformations/s",
+    "lattice.conformations_scored_per_sec.scalar": "conformations/s",
     "docking.searches_per_sec": "searches/s",
     "dataset.build_seconds.cold": "s",
     "dataset.build_seconds.warm": "s",
@@ -368,6 +401,7 @@ METRIC_UNITS: dict[str, str] = {
 BENCHMARKS: tuple[tuple[str, object], ...] = (
     ("docking-scoring", bench_docking_scoring),
     ("statevector", bench_statevector),
+    ("lattice-energies", bench_lattice_energies),
     ("vqe-objective", bench_vqe_objective),
     ("docking-search", bench_docking_search),
     ("cache-remote", bench_cache_remote),
@@ -390,6 +424,11 @@ def derived_metrics(results: dict[str, dict]) -> dict[str, float]:
         "docking.batch_speedup",
         "docking.poses_scored_per_sec.batch",
         "docking.poses_scored_per_sec.scalar",
+    )
+    ratio(
+        "lattice.batch_speedup",
+        "lattice.conformations_scored_per_sec.batch",
+        "lattice.conformations_scored_per_sec.scalar",
     )
     ratio(
         "vqe.compiled_speedup",

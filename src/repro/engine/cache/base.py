@@ -116,3 +116,7 @@ class CacheTier(Protocol):
     def verify(self, delete: bool = False) -> tuple[list[str], list[tuple[str, str]]]:
         """Audit locally held entries: ``(valid_keys, corrupt_pairs)``."""
         ...
+
+    def close(self) -> None:
+        """Release held connections (a no-op for tiers that hold none)."""
+        ...

@@ -265,6 +265,9 @@ class LocalDirTier:
             self._tracked_total = None  # resync on next bound check
         return valid, corrupt
 
+    def close(self) -> None:
+        """No-op: a directory tier holds no open handles between calls."""
+
     def __contains__(self, key: str) -> bool:
         return self._path(key).exists()
 

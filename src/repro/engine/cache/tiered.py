@@ -103,6 +103,11 @@ class TieredCache:
             corrupt.extend(tier_corrupt)
         return valid, corrupt
 
+    def close(self) -> None:
+        """Close every member tier (remote members drop their sockets)."""
+        for tier in self.tiers:
+            tier.close()
+
     def __contains__(self, key: str) -> bool:
         return any(key in tier for tier in self.tiers)
 

@@ -199,6 +199,21 @@ class Engine:
         self.failed_jobs = 0
         self.executed_by_kind: dict[str, int] = {}
 
+    def close(self) -> None:
+        """Release the cache's connections (a remote tier's socket).
+
+        The engine stays usable: a remote tier reconnects on its next request.
+        ``with Engine(...) as engine:`` closes on exit.
+        """
+        if self.cache is not None:
+            self.cache.close()
+
+    def __enter__(self) -> "Engine":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
     def transport_for(self, processes: int | None = None) -> Transport:
         """A fresh one-batch transport resolved from this engine's configuration.
 

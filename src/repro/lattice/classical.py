@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.lattice.hamiltonian import LatticeHamiltonian
+from repro.lattice.hamiltonian import LatticeHamiltonian, is_preferred
 from repro.lattice.tetrahedral import turns_to_coords
 from repro.utils.rng import rng_for
 
@@ -58,20 +58,17 @@ class ClassicalFoldingSolver:
 
     # -- exhaustive search -----------------------------------------------------
 
-    def _iter_turn_sequences(self):
+    def _all_turn_sequences(self) -> np.ndarray:
+        """Every conformation as a ``(4^n_free, L-1)`` array, in enumeration order.
+
+        Row ``code`` holds the fixed leading turns followed by the free turns
+        read two bits at a time from ``code``, least significant first.
+        """
         n_free = self.encoding.num_free_turns
-        length = self.encoding.length
-        fixed = [0, 1][: length - 1]
-        n_fixed = len(fixed)
-        total_turns = length - 1
-        for code in range(4**n_free):
-            free = []
-            c = code
-            for _ in range(n_free):
-                free.append(c & 3)
-                c >>= 2
-            turns = (fixed + free)[:total_turns]
-            yield turns
+        codes = np.arange(4**n_free)[:, None]
+        free = (codes >> (2 * np.arange(n_free))) & 3
+        fixed = np.tile([0, 1], (codes.shape[0], 1))
+        return np.hstack([fixed, free])[:, : self.encoding.length - 1]
 
     def solve_exact(self) -> ClassicalFoldingResult:
         """Enumerate every conformation and return the exact ground state.
@@ -79,24 +76,23 @@ class ClassicalFoldingSolver:
         Degenerate ground states are resolved by the lexicographically smallest
         turn sequence (the same tie-break the quantum decoder applies).
         """
-        best_turns: list[int] | None = None
+        all_turns = self._all_turn_sequences()
+        best_row: int | None = None
         best_energy = np.inf
-        count = 0
-        for turns in self._iter_turn_sequences():
-            count += 1
-            e = self.hamiltonian.energy(turns)
-            if e < best_energy - 1e-9 or (
-                abs(e - best_energy) <= 1e-9 and best_turns is not None and tuple(turns) < tuple(best_turns)
+        for row, e in enumerate(self.hamiltonian.energies(all_turns).total.tolist()):
+            if is_preferred(
+                e, all_turns[row], best_energy, None if best_row is None else all_turns[best_row]
             ):
                 best_energy = min(e, best_energy)
-                best_turns = list(turns)
-        assert best_turns is not None
+                best_row = row
+        assert best_row is not None
+        best_turns = [int(t) for t in all_turns[best_row]]
         return ClassicalFoldingResult(
             turns=tuple(best_turns),
             energy=float(best_energy),
             ca_coords=turns_to_coords(best_turns, bond_length=self.hamiltonian.bond_length),
             exact=True,
-            evaluations=count,
+            evaluations=all_turns.shape[0],
         )
 
     # -- simulated annealing ---------------------------------------------------
@@ -127,7 +123,18 @@ class ClassicalFoldingSolver:
         # Start from an alternating pattern which is always backtrack-free.
         for k in range(first_free, n_turns):
             turns[k] = (k % 2) * 2  # 0, 2, 0, 2 ... never equal to the previous index
-        current_e = self.hamiltonian.energy(turns)
+        # Single-turn moves keep revisiting the same states; the energy of a
+        # state never changes, so a per-solve memo is exact.
+        memo: dict[bytes, float] = {}
+
+        def energy(turns: np.ndarray) -> float:
+            key = turns.tobytes()
+            cached = memo.get(key)
+            if cached is None:
+                cached = memo[key] = self.hamiltonian.energy(turns)
+            return cached
+
+        current_e = energy(turns)
         best_turns = turns.copy()
         best_e = current_e
         evaluations = 1
@@ -140,7 +147,7 @@ class ClassicalFoldingSolver:
                 if new == old:
                     continue
                 turns[pos] = new
-                e = self.hamiltonian.energy(turns)
+                e = energy(turns)
                 evaluations += 1
                 accept = e <= current_e or rng.random() < np.exp(-(e - current_e) / temp)
                 if accept:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import LatticeError
-from repro.lattice.hamiltonian import LatticeHamiltonian
+from repro.lattice.hamiltonian import LatticeHamiltonian, is_preferred
 from repro.lattice.tetrahedral import turns_to_coords
 
 
@@ -42,61 +42,43 @@ class ConformationDecoder:
         self.hamiltonian = hamiltonian
         self.encoding = hamiltonian.encoding
 
-    def decode_bitstring(self, bits: str) -> DecodedConformation:
-        """Decode one bitstring into a conformation (no validity filtering)."""
-        turns = self.encoding.turns_from_bits(bits)
-        coords = turns_to_coords(np.asarray(turns), bond_length=self.hamiltonian.bond_length)
-        breakdown = self.hamiltonian.breakdown(turns)
-        return DecodedConformation(
-            turns=tuple(turns),
-            ca_coords=coords,
-            energy=breakdown.total,
-            bitstring=bits[: self.encoding.configuration_qubits],
-            valid=(breakdown.clash == 0.0 and breakdown.geometric == 0.0),
-        )
-
     def decode_counts(self, counts: dict[str, int]) -> DecodedConformation:
         """Decode a whole counts dictionary and return the best conformation.
 
         Preference order: the lowest-energy *valid* conformation; if every
         measured bitstring decodes to an invalid conformation, the lowest-energy
         invalid one is returned (mirroring the pragmatic behaviour needed on
-        noisy hardware).
+        noisy hardware).  Ties follow :func:`is_preferred`.
         """
         if not counts:
             raise LatticeError("cannot decode an empty counts dictionary")
-        best_valid: DecodedConformation | None = None
-        best_any: DecodedConformation | None = None
-        # Deduplicate on the configuration register to avoid re-decoding
-        # bitstrings that differ only in interaction-register bits.
-        seen: set[str] = set()
+        # Deduplicate on the configuration register (first-seen order) so
+        # bitstrings that differ only in interaction-register bits are scored
+        # once, then score every distinct configuration in one batch.
         width = self.encoding.configuration_qubits
+        keys = list(dict.fromkeys(bits[:width] for bits in counts))
+        turns = self.encoding.turns_from_bit_rows(keys)
+        batch = self.hamiltonian.energies(turns)
+        totals = batch.total.tolist()
 
-        def better(candidate: DecodedConformation, incumbent: DecodedConformation | None) -> bool:
-            # Degenerate ground states are resolved by the lexicographically
-            # smallest turn sequence, the same tie-break the classical solver
-            # uses, so quantum and classical pipelines agree on ties.
-            if incumbent is None:
-                return True
-            if candidate.energy < incumbent.energy - 1e-9:
-                return True
-            if abs(candidate.energy - incumbent.energy) <= 1e-9:
-                return candidate.turns < incumbent.turns
-            return False
+        def beats(row: int, incumbent: int | None) -> bool:
+            return incumbent is None or is_preferred(
+                totals[row], turns[row], totals[incumbent], turns[incumbent]
+            )
 
-        for bits in counts:
-            key = bits[:width]
-            if key in seen:
-                continue
-            seen.add(key)
-            conf = self.decode_bitstring(bits)
-            if better(conf, best_any):
-                best_any = conf
-            if conf.valid and better(conf, best_valid):
-                best_valid = conf
-        assert best_any is not None
-        return best_valid if best_valid is not None else best_any
-
-    def decode_many(self, bitstrings: list[str]) -> list[DecodedConformation]:
-        """Decode a list of bitstrings (no deduplication, order preserved)."""
-        return [self.decode_bitstring(b) for b in bitstrings]
+        best_any: int | None = None
+        best_valid: int | None = None
+        valid_rows = batch.valid.tolist()
+        for row, valid in enumerate(valid_rows):
+            if beats(row, best_any):
+                best_any = row
+            if valid and beats(row, best_valid):
+                best_valid = row
+        best = best_valid if best_valid is not None else best_any
+        return DecodedConformation(
+            turns=tuple(turns[best].tolist()),
+            ca_coords=turns_to_coords(turns[best], bond_length=self.hamiltonian.bond_length),
+            energy=totals[best],
+            bitstring=keys[best],
+            valid=bool(valid_rows[best]),
+        )

@@ -26,6 +26,9 @@ For lengths outside the paper's 5–14 range a principled fallback is used
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from repro.bio.sequence import ProteinSequence
 from repro.exceptions import EncodingError
@@ -148,18 +151,40 @@ class FragmentEncoding:
 
         ``bits`` must contain at least ``configuration_qubits`` characters; only
         the first ``configuration_qubits`` are used (extra interaction-register
-        bits are ignored).  The first two turns are fixed to ``0`` and ``1``.
+        bits are ignored).  The first two turns are fixed to ``0`` and ``1``;
+        each free turn is read from two bits, most significant first.
         """
-        if len(bits) < self.configuration_qubits:
+        return self.turns_from_bit_rows([bits])[0].tolist()
+
+    def turns_from_bit_rows(self, rows: np.ndarray | Sequence[str]) -> np.ndarray:
+        """:meth:`turns_from_bits` for ``N`` configurations: ``(N, L-1)`` turns.
+
+        ``rows`` is a sequence of bitstrings or a ``(N, >= configuration_qubits)``
+        array of 0/1 values.
+        """
+        width = self.configuration_qubits
+        if not isinstance(rows, np.ndarray):
+            for bits in rows:
+                if len(bits) < width:
+                    raise EncodingError(
+                        f"bitstring of length {len(bits)} is shorter than the "
+                        f"{width}-qubit configuration register"
+                    )
+            text = "".join(bits[:width] for bits in rows).encode("ascii")
+            rows = (np.frombuffer(text, dtype=np.uint8) - ord("0")).reshape(-1, width)
+        if rows.ndim != 2 or rows.shape[1] < width:
             raise EncodingError(
-                f"bitstring of length {len(bits)} is shorter than the "
-                f"{self.configuration_qubits}-qubit configuration register"
+                f"bit rows of shape {rows.shape} do not cover the "
+                f"{width}-qubit configuration register"
             )
-        turns: list[int] = [0, 1][: self.length - 1]
-        for k in range(self.num_free_turns):
-            chunk = bits[2 * k : 2 * k + 2]
-            turns.append(int(chunk, 2))
-        return turns[: self.length - 1]
+        bits = rows[:, :width].astype(int)
+        if np.any((bits < 0) | (bits > 1)):
+            raise EncodingError("configuration bits must be 0 or 1")
+        fixed = [0, 1][: self.length - 1]
+        turns = np.empty((bits.shape[0], len(fixed) + self.num_free_turns), dtype=int)
+        turns[:, : len(fixed)] = fixed
+        turns[:, len(fixed) :] = 2 * bits[:, 0::2] + bits[:, 1::2]
+        return turns[:, : self.length - 1]
 
     def bits_from_turns(self, turns: list[int]) -> str:
         """Inverse of :meth:`turns_from_bits` (configuration register only)."""

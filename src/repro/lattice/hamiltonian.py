@@ -33,22 +33,27 @@ the penalty scaling preserves ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.bio.miyazawa_jernigan import interaction_matrix_for_sequence
 from repro.bio.sequence import ProteinSequence
-from repro.exceptions import HamiltonianError
+from repro.exceptions import HamiltonianError, LatticeError
 from repro.lattice.encoding import FragmentEncoding
-from repro.lattice.tetrahedral import (
-    CA_VIRTUAL_BOND,
-    backtracking_count,
-    turns_to_coords,
-)
+from repro.lattice.tetrahedral import CA_VIRTUAL_BOND, turns_to_coords_batch
 
 #: Calibration constants of the encoding offset (see module docstring).
 OFFSET_COEFF = 0.00135
 OFFSET_EXPONENT = 3.6
+
+#: Rows scored per vectorised pass of :meth:`LatticeHamiltonian.energies`.
+#: Fixed so the ``(rows, pairs, 3)`` intermediates stay a few MB at most,
+#: whatever the batch size: peak memory does not grow with the shot count.
+ENERGY_CHUNK_ROWS = 512
+
+#: Energies closer than this are degenerate (see :func:`is_preferred`).
+DEGENERACY_TOL = 1e-9
 
 
 def encoding_offset(total_qubits: int) -> float:
@@ -101,6 +106,53 @@ class EnergyBreakdown:
         }
 
 
+@dataclass(frozen=True)
+class EnergyBatch:
+    """Per-term energies of ``N`` conformations, one array entry per row."""
+
+    chirality: np.ndarray
+    geometric: np.ndarray
+    clash: np.ndarray
+    interaction: np.ndarray
+    offset: float
+
+    @property
+    def total(self) -> np.ndarray:
+        """Total energies including the encoding offset."""
+        return self.chirality + self.geometric + self.clash + self.interaction + self.offset
+
+    @property
+    def valid(self) -> np.ndarray:
+        """Rows with no clashes and no backtracking."""
+        return (self.clash == 0.0) & (self.geometric == 0.0)
+
+    def __getitem__(self, row: int) -> EnergyBreakdown:
+        return EnergyBreakdown(
+            chirality=float(self.chirality[row]),
+            geometric=float(self.geometric[row]),
+            clash=float(self.clash[row]),
+            interaction=float(self.interaction[row]),
+            offset=self.offset,
+        )
+
+
+def is_preferred(
+    energy: float,
+    turns: Sequence[int] | np.ndarray,
+    best_energy: float,
+    best_turns: Sequence[int] | np.ndarray | None,
+) -> bool:
+    """Whether a conformation beats the incumbent best one.
+
+    Lower energy wins by more than :data:`DEGENERACY_TOL`; degenerate ground
+    states go to the lexicographically smallest turn sequence, so the quantum
+    decoder and the classical solver agree on ties.
+    """
+    if best_turns is None or energy < best_energy - DEGENERACY_TOL:
+        return True
+    return abs(energy - best_energy) <= DEGENERACY_TOL and tuple(turns) < tuple(best_turns)
+
+
 class LatticeHamiltonian:
     """Diagonal folding Hamiltonian for one fragment sequence.
 
@@ -146,63 +198,117 @@ class LatticeHamiltonian:
         self._hydropathy = np.array(
             [_get_aa(c).hydropathy / 4.5 for c in str(self.sequence)]
         )
+        # Residue pairs of the upper triangle in row-major order, and the
+        # non-local ones (>= 3 apart along the chain) that can form contacts.
+        self._pair_i, self._pair_j = np.triu_indices(len(self.sequence), k=1)
+        self._nonlocal = (self._pair_j - self._pair_i) >= 3
+        self._nonlocal_mj = self._mj[self._pair_i[self._nonlocal], self._pair_j[self._nonlocal]]
 
-    # -- per-term evaluation ---------------------------------------------------
+    # -- batched evaluation ----------------------------------------------------
 
-    def _clash_energy(self, coords: np.ndarray) -> float:
-        diff = coords[:, None, :] - coords[None, :, :]
-        dist2 = np.einsum("ijk,ijk->ij", diff, diff)
-        iu = np.triu_indices(coords.shape[0], k=1)
-        overlaps = int(np.count_nonzero(dist2[iu] < 1e-6))
-        return self.weights.clash * self._clash_penalty * overlaps
+    def energies(self, turns: np.ndarray) -> EnergyBatch:
+        """Evaluate all four terms for ``N`` conformations (``turns[N, L-1]``).
 
-    def _geometric_energy(self, turns: np.ndarray) -> float:
-        return self.weights.geometric * self._geometric_penalty * backtracking_count(turns)
+        Every row is bit-identical to a one-conformation evaluation: the
+        kernel works on fixed ``ENERGY_CHUNK_ROWS``-row chunks and keeps the
+        per-row summation order of each floating-point reduction (see
+        ``docs/ARCHITECTURE.md``, "Lattice energy hot path").
+        """
+        turns = np.asarray(turns, dtype=int)
+        n_turns = len(self.sequence) - 1
+        if turns.ndim != 2 or turns.shape[1] != n_turns:
+            raise HamiltonianError(
+                f"expected turns of shape (N, {n_turns}), got {turns.shape}"
+            )
+        if np.any((turns < 0) | (turns > 3)):
+            raise LatticeError("turn indices must be in {0, 1, 2, 3}")
+        rows = turns.shape[0]
+        terms = np.empty((4, rows))
+        for start in range(0, rows, ENERGY_CHUNK_ROWS):
+            stop = min(start + ENERGY_CHUNK_ROWS, rows)
+            self._score_chunk(turns[start:stop], terms[:, start:stop])
+        chirality, geometric, clash, interaction = terms
+        return EnergyBatch(
+            chirality=chirality,
+            geometric=geometric,
+            clash=clash,
+            interaction=interaction,
+            offset=self.offset,
+        )
 
-    def _chirality_energy(self, coords: np.ndarray) -> float:
-        """Symmetry-breaking term: penalise left-handed consecutive triads."""
-        if coords.shape[0] < 4:
-            return 0.0
-        v1 = coords[1:-2] - coords[:-3]
-        v2 = coords[2:-1] - coords[1:-2]
-        v3 = coords[3:] - coords[2:-1]
-        handedness = np.einsum("ij,ij->i", np.cross(v1, v2), v3)
-        left_handed = int(np.count_nonzero(handedness < -1e-9))
-        return self.weights.chirality * self._chirality_penalty * left_handed
+    def _score_chunk(self, turns: np.ndarray, out: np.ndarray) -> None:
+        """Write the chirality / geometric / clash / interaction rows of ``out``.
 
-    def _interaction_energy(self, coords: np.ndarray) -> float:
-        diff = coords[:, None, :] - coords[None, :, :]
-        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        contact = np.abs(dist - self.bond_length) < 1e-3
-        # Only non-bonded pairs separated by >= 3 along the chain.
-        n = coords.shape[0]
-        sep = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-        mask = np.triu(contact & (sep >= 3), k=3)
-        energy = float(np.sum(self._mj[mask]))
+        The integer counts (overlaps, backtracks, left-handed triads,
+        contacts) come from thresholds far from any lattice distance, so any
+        summation order decides them alike.  The real-valued sums (centroid,
+        centroid distances, hydropathy dot, Miyazawa–Jernigan sum) use the
+        same per-row reductions a single conformation does, which is what
+        keeps them bit-identical.
+        """
+        w = self.weights
+        rows = turns.shape[0]
+        coords = turns_to_coords_batch(turns, self.bond_length)
+
+        diff = coords[:, self._pair_i] - coords[:, self._pair_j]
+        dist2 = np.einsum("npk,npk->np", diff, diff)
+        overlaps = np.count_nonzero(dist2 < 1e-6, axis=1)
+        out[2] = w.clash * self._clash_penalty * overlaps
+
+        backtracks = np.count_nonzero(turns[:, 1:] == turns[:, :-1], axis=1)
+        out[1] = w.geometric * self._geometric_penalty * backtracks
+
+        if coords.shape[1] < 4:
+            out[0] = 0.0
+        else:
+            # Handedness of each consecutive triad: the triple product
+            # (v1 x v2) . v3 of three successive bond vectors.
+            steps = np.diff(coords, axis=1)
+            v1, v2, v3 = steps[:, :-2], steps[:, 1:-1], steps[:, 2:]
+            handedness = (
+                (v1[..., 1] * v2[..., 2] - v1[..., 2] * v2[..., 1]) * v3[..., 0]
+                + (v1[..., 2] * v2[..., 0] - v1[..., 0] * v2[..., 2]) * v3[..., 1]
+                + (v1[..., 0] * v2[..., 1] - v1[..., 1] * v2[..., 0]) * v3[..., 2]
+            )
+            left_handed = np.count_nonzero(handedness < -1e-9, axis=1)
+            out[0] = w.chirality * self._chirality_penalty * left_handed
+
+        # Contacts: non-bonded pairs separated by >= 3 along the chain, in the
+        # row-major (i, j) order of the upper triangle.
+        contact = np.abs(np.sqrt(dist2[:, self._nonlocal]) - self.bond_length) < 1e-3
+        contact_mj = np.broadcast_to(self._nonlocal_mj, contact.shape)[contact]
+        n_contacts = np.count_nonzero(contact, axis=1)
+        first = np.cumsum(n_contacts) - n_contacts
+        energy = np.zeros(rows)
+        # Rows with the same contact count are summed together as one
+        # (rows, k) block: np.sum along the contiguous axis applies the same
+        # (pairwise, for k >= 8) summation a single row's 1-D sum does.
+        for k in np.unique(n_contacts[n_contacts > 0]):
+            same = np.flatnonzero(n_contacts == k)
+            energy[same] = np.sum(contact_mj[first[same, None] + np.arange(k)], axis=1)
+
         # Hydrophobic burial field: positive-hydropathy residues are penalised
-        # for sitting far from the fold's centroid.
-        centroid = coords.mean(axis=0)
-        dist_to_centroid = np.linalg.norm(coords - centroid, axis=1) / self.bond_length
-        energy += 0.05 * float(np.dot(self._hydropathy, dist_to_centroid))
-        return self.weights.interaction * self._interaction_scale * energy
+        # for sitting far from the fold's centroid.  The dot stays per row: a
+        # single matrix-vector product changes the summation order.
+        centroid = coords.mean(axis=1)
+        dist_to_centroid = np.linalg.norm(coords - centroid[:, None, :], axis=2) / self.bond_length
+        energy += 0.05 * np.array([np.dot(self._hydropathy, row) for row in dist_to_centroid])
+        out[3] = w.interaction * self._interaction_scale * energy
 
     # -- public API ------------------------------------------------------------
 
     def breakdown(self, turns: np.ndarray | list[int]) -> EnergyBreakdown:
-        """Evaluate all four terms (plus offset) for a turn sequence."""
+        """Evaluate all four terms (plus offset) for a turn sequence.
+
+        A batch of one over :meth:`energies`, so there is one implementation
+        of the terms.
+        """
         turns = np.asarray(turns, dtype=int)
         if turns.size != len(self.sequence) - 1:
             raise HamiltonianError(
                 f"expected {len(self.sequence) - 1} turns, got {turns.size}"
             )
-        coords = turns_to_coords(turns, bond_length=self.bond_length)
-        return EnergyBreakdown(
-            chirality=self._chirality_energy(coords),
-            geometric=self._geometric_energy(turns),
-            clash=self._clash_energy(coords),
-            interaction=self._interaction_energy(coords),
-            offset=self.offset,
-        )
+        return self.energies(turns.reshape(1, -1))[0]
 
     def energy(self, turns: np.ndarray | list[int]) -> float:
         """Total (offset-included) energy of a conformation."""
@@ -211,10 +317,6 @@ class LatticeHamiltonian:
     def energy_of_bits(self, bits: str) -> float:
         """Total energy of the conformation encoded by a configuration bitstring."""
         return self.energy(self.encoding.turns_from_bits(bits))
-
-    def energies_of_bitstrings(self, bitstrings: list[str]) -> np.ndarray:
-        """Vector of energies for a batch of bitstrings (used by VQE sampling)."""
-        return np.array([self.energy_of_bits(b) for b in bitstrings], dtype=float)
 
     def is_valid(self, turns: np.ndarray | list[int]) -> bool:
         """True when the conformation has no clashes and no backtracking."""

@@ -76,16 +76,24 @@ def turns_to_coords(turns: np.ndarray | list[int], bond_length: float = CA_VIRTU
         raise LatticeError("a conformation needs at least one turn")
     if np.any((turns < 0) | (turns > 3)):
         raise LatticeError("turn indices must be in {0, 1, 2, 3}")
+    return turns_to_coords_batch(turns[None, :], bond_length)[0]
 
+
+def turns_to_coords_batch(turns: np.ndarray, bond_length: float = CA_VIRTUAL_BOND) -> np.ndarray:
+    """Coordinates of many conformations at once: ``(N, L-1)`` turns -> ``(N, L, 3)``.
+
+    Row ``i`` is bit-identical to ``turns_to_coords(turns[i])``: the cumulative
+    sum runs sequentially along each chain either way.  ``turns`` must already
+    be a validated integer array.
+    """
     scale = bond_length / np.sqrt(3.0)
-    n_steps = turns.size
-    parities = np.arange(n_steps) % 2
+    n_steps = turns.shape[1]
     # steps[k] = +/- direction[turns[k]] depending on parity
     dirs = _DIRECTIONS_A[turns] * scale
-    signs = np.where(parities == 0, 1.0, -1.0)[:, None]
+    signs = np.where(np.arange(n_steps) % 2 == 0, 1.0, -1.0)[:, None]
     steps = dirs * signs
-    coords = np.zeros((n_steps + 1, 3))
-    np.cumsum(steps, axis=0, out=coords[1:])
+    coords = np.zeros((turns.shape[0], n_steps + 1, 3))
+    np.cumsum(steps, axis=1, out=coords[:, 1:])
     return coords
 
 

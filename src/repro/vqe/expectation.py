@@ -26,7 +26,7 @@ class DiagonalExpectation:
         self.hamiltonian = hamiltonian
         self.encoding = hamiltonian.encoding
         self.max_entries = int(max_entries) if max_entries is not None else None
-        self._cache: dict[str, float] = {}
+        self._cache: dict[str, float | None] = {}
         self._hits = 0
         self._misses = 0
         self._evictions = 0
@@ -52,25 +52,43 @@ class DiagonalExpectation:
         }
 
     def energy_of_bits(self, bits: str) -> float:
-        """Energy of one bitstring (configuration register prefix), cached.
+        """Energy of one bitstring (configuration register prefix), cached."""
+        key = bits[: self.encoding.configuration_qubits]
+        return float(self._energies_of_keys([key], [key])[0])
 
+    def _energies_of_keys(self, keys: list[str], rows: np.ndarray | list[str]) -> np.ndarray:
+        """Cached energies of distinct configuration keys, misses batch-scored.
+
+        ``rows`` holds the same configurations as 0/1 rows or bitstrings
+        (anything :meth:`FragmentEncoding.turns_from_bit_rows` accepts).
         The cache is capped at ``max_entries`` (when set) with FIFO eviction:
         dict insertion order is the arrival order, so the oldest configuration
-        is dropped first.
+        is dropped first.  Keys are looked up, inserted and evicted in order,
+        exactly as one-at-a-time lookups would; only the scoring of the misses
+        is deferred into one batch.
         """
-        key = bits[: self.encoding.configuration_qubits]
-        cached = self._cache.get(key)
-        if cached is None:
+        turns = self.encoding.turns_from_bit_rows(rows)
+        energies = np.empty(len(keys))
+        missed: list[int] = []
+        for index, key in enumerate(keys):
+            cached = self._cache.get(key)
+            if cached is not None:
+                self._hits += 1
+                energies[index] = cached
+                continue
             self._misses += 1
-            cached = self.hamiltonian.energy_of_bits(key)
-            self._cache[key] = cached
+            missed.append(index)
+            self._cache[key] = None  # placeholder keeps the FIFO position
             if self.max_entries is not None:
                 while len(self._cache) > self.max_entries:
                     self._cache.pop(next(iter(self._cache)))
                     self._evictions += 1
-        else:
-            self._hits += 1
-        return cached
+        if missed:
+            energies[missed] = self.hamiltonian.energies(turns[missed]).total
+            for index in missed:
+                if keys[index] in self._cache:
+                    self._cache[keys[index]] = float(energies[index])
+        return energies
 
     def estimate_from_counts(self, counts: dict[str, int]) -> float:
         """Shot-weighted mean energy of a counts dictionary."""
@@ -124,9 +142,7 @@ class DiagonalExpectation:
             uniq, inverse, counts = np.unique(
                 config, axis=0, return_inverse=True, return_counts=True
             )
-        energies = np.array(
-            [self.energy_of_bits(bits) for bits in samples_to_bitstrings(uniq)]
-        )
+        energies = self._energies_of_keys(samples_to_bitstrings(uniq), uniq)
         return energies, np.ravel(inverse), counts
 
     def estimate_from_samples(self, samples: np.ndarray) -> float:

@@ -53,16 +53,27 @@ def test_run_suite_docking_scoring_metrics(scoring_results):
     assert derived["docking.batch_speedup"] > 1.0
 
 
+def test_run_suite_lattice_energies_metrics():
+    results, derived = run_suite(smoke=True, repeats=1, only="lattice-energies")
+    assert set(results) == {
+        "lattice.conformations_scored_per_sec.batch",
+        "lattice.conformations_scored_per_sec.scalar",
+    }
+    for metric, entry in results.items():
+        assert entry["unit"] == METRIC_UNITS[metric] == "conformations/s"
+    assert derived["lattice.batch_speedup"] > 1.0
+
+
 def test_run_suite_unknown_filter_raises():
     with pytest.raises(ReproError):
         run_suite(smoke=True, repeats=1, only="no-such-benchmark")
 
 
 def test_every_benchmark_has_units_registered():
-    assert len(BENCHMARKS) == 7
+    assert len(BENCHMARKS) == 8
     names = {name for name, _fn in BENCHMARKS}
     assert names == {
-        "docking-scoring", "statevector", "vqe-objective",
+        "docking-scoring", "statevector", "lattice-energies", "vqe-objective",
         "docking-search", "cache-remote", "dataset-build",
         "transport-overhead",
     }

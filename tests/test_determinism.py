@@ -443,6 +443,10 @@ def test_cache_topology_filequeue_stub_completions_are_bit_identical(
     assert warm.stats()["cache"]["misses"] == 0
 
 
+# A leaked socket warns from its finaliser, which pytest re-reports as an
+# unraisable-exception warning: both must fail the test.
+@pytest.mark.filterwarnings("error::ResourceWarning")
+@pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
 def test_cache_topology_remote_tier_is_bit_identical(reference_run, tmp_path):
     """The cache-topology clause, network half: a run whose cache stack ends
     in a ``RemoteTier`` against the serving daemon is bit-identical, and a
@@ -456,21 +460,21 @@ def test_cache_topology_remote_tier_is_bit_identical(reference_run, tmp_path):
             cache_dir=str(tmp_path / "client-cache"),
             cache_remote=f"127.0.0.1:{server.port}",
         )
-        engine = Engine(config=config)
-        assert _canonical(engine.run(_mixed_jobs(engine))) == reference_run
-        assert engine.stats()["executed_jobs"] == 5
-        # The server cached every result as it executed; the transport marked
-        # them stored, so the session never pushed payloads back over the wire.
-        remote_tier = engine.cache.tiers[-1]
-        assert remote_tier.stats.writes == 0
+        with Engine(config=config) as engine:
+            assert _canonical(engine.run(_mixed_jobs(engine))) == reference_run
+            assert engine.stats()["executed_jobs"] == 5
+            # The server cached every result as it executed; the transport marked
+            # them stored, so the session never pushed payloads back over the wire.
+            remote_tier = engine.cache.tiers[-1]
+            assert remote_tier.stats.writes == 0
 
         # "Another machine": no local cache at all, just the remote tier.
-        warm = Engine(config=_network_config(
+        with Engine(config=_network_config(
             server.port, cache_remote=f"127.0.0.1:{server.port}"
-        ))
-        assert _canonical(warm.run(_mixed_jobs(warm))) == reference_run
-        assert warm.stats()["executed_jobs"] == 0
-        assert warm.stats()["cache"]["misses"] == 0
+        )) as warm:
+            assert _canonical(warm.run(_mixed_jobs(warm))) == reference_run
+            assert warm.stats()["executed_jobs"] == 0
+            assert warm.stats()["cache"]["misses"] == 0
 
 
 def test_session_knobs_never_enter_job_hashes():
