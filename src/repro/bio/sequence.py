@@ -58,11 +58,6 @@ class ProteinSequence:
         """Net formal charge at pH 7."""
         return sum(get_aa(c).charge for c in self.residues)
 
-    @property
-    def mean_hydropathy(self) -> float:
-        """Average Kyte–Doolittle hydropathy (GRAVY score)."""
-        return sum(get_aa(c).hydropathy for c in self.residues) / len(self)
-
     def hydrophobic_fraction(self) -> float:
         """Fraction of residues with positive hydropathy."""
         return sum(1 for c in self.residues if get_aa(c).hydrophobic) / len(self)

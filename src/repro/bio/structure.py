@@ -71,10 +71,6 @@ class Residue:
                 return a
         raise StructureError(f"residue {self.three}{self.seq_id} has no atom {name!r}")
 
-    def has_atom(self, name: str) -> bool:
-        """True if an atom with this name exists in the residue."""
-        return any(a.name == name for a in self.atoms)
-
     @property
     def ca(self) -> Atom:
         """The alpha-carbon atom."""
@@ -188,10 +184,6 @@ class Structure:
         if not atoms:
             raise StructureError("structure has no atoms")
         return np.array([a.coords for a in atoms])
-
-    def atom_names(self) -> list[str]:
-        """Names of every atom in order (parallel to :meth:`all_coords`)."""
-        return [a.name for a in self.atoms]
 
     # -- transforms ------------------------------------------------------------
 

@@ -60,10 +60,6 @@ class QDockBank:
                     names.append(m)
         return names
 
-    def metric_records(self) -> list[dict]:
-        """Flat per-entry records (one dict per fragment)."""
-        return [e.metrics_record() for e in self.entries]
-
     # -- persistence -----------------------------------------------------------------
 
     def save(self, root: str | Path) -> Path:

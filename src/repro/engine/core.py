@@ -32,6 +32,7 @@ cache state.
 from __future__ import annotations
 
 import pickle
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -46,7 +47,13 @@ from repro.engine.jobs import (
     JobResult,
     JobSpec,
 )
-from repro.engine.registry import executor_for, register_executor
+from repro.engine.registry import (
+    executor_for,
+    executor_snapshot,
+    register_executor,
+    registry_snapshot,
+    restore_registries,
+)
 from repro.engine.session import Session, SessionJournal, new_session_id
 from repro.engine.transports import Transport, make_transport
 from repro.exceptions import EngineError
@@ -84,6 +91,24 @@ def _picklable(mapping: dict, what: str) -> dict:
             continue
         out[name] = value
     return out
+
+
+def worker_pool(processes: int, mp_context: Any = None) -> ProcessPoolExecutor:
+    """A process pool whose workers start with this process's registries.
+
+    Spawn-based start methods do not inherit parent module state, so the
+    backend/executor registries are replicated into every worker through the
+    pool initializer (unpicklable entries dropped by :func:`_picklable`).
+    """
+    return ProcessPoolExecutor(
+        max_workers=processes,
+        mp_context=mp_context,
+        initializer=restore_registries,
+        initargs=(
+            _picklable(registry_snapshot(), "backend"),
+            _picklable(executor_snapshot(), "executor"),
+        ),
+    )
 
 
 def execute_fold_job(spec: JobSpec) -> JobResult:

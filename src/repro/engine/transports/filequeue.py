@@ -37,12 +37,12 @@ broker, no sockets and no new dependencies:
         whose lease was reclaimed and re-claimed neither refreshes nor
         unlinks the new owner's claim.
     ``results/<task_id>.json``
-        The outcome: the result's cache payload (``to_payload()``) on
-        success, or the error type/message on failure — written atomically,
+        The job's result record (:mod:`repro.engine.records`) plus
+        ``task_id``, ``worker_id`` and ``duration_s`` — written atomically,
         after which the claim is released.  The submitting transport polls
-        this directory, rebuilds results with
-        :func:`~repro.engine.jobs.result_from_payload`, and hands them to the
-        session loop, which persists them through the existing
+        this directory, turns each record into a completion with
+        :func:`~repro.engine.records.record_to_completion`, and hands it to
+        the session loop, which persists it through the existing
         :class:`~repro.engine.cache.ResultCache` and session journal — so
         crash/resume semantics are identical to the local transports.
 
@@ -99,6 +99,7 @@ import uuid
 from pathlib import Path
 from typing import Any, Callable, ClassVar, Sequence
 
+from repro.engine import records
 from repro.engine.scheduler import (
     DEFAULT_PRIORITY,
     MIN_SPECULATION_SAMPLES,
@@ -474,17 +475,6 @@ class FileQueueSpool:
 
     # -- results and logs ------------------------------------------------------------
 
-    def write_result(self, task_id: str, record: dict[str, Any]) -> None:
-        """Publish one outcome atomically (readers see all of it or none).
-
-        Encoded like the result cache's own files (numpy scalars/arrays in a
-        payload serialise cleanly), so any kind that caches also transports.
-        """
-        from repro.utils.io import _NumpyJSONEncoder
-
-        data = json.dumps(record, sort_keys=True, cls=_NumpyJSONEncoder).encode("utf-8")
-        self._atomic_write(self.result_path(task_id), data)
-
     def publish_result(self, task_id: str, record: dict[str, Any]) -> bool:
         """Publish one outcome *exclusively*: the first publisher wins.
 
@@ -496,12 +486,9 @@ class FileQueueSpool:
         without hard links it degrades to a checked atomic replace, which
         with determinism still yields identical bytes either way.
         """
-        from repro.utils.io import _NumpyJSONEncoder
-
-        data = json.dumps(record, sort_keys=True, cls=_NumpyJSONEncoder).encode("utf-8")
         target = self.result_path(task_id)
         tmp = target.with_name(f".{target.name}.pub-{os.getpid()}-{uuid.uuid4().hex[:6]}")
-        tmp.write_bytes(data)
+        tmp.write_bytes(records.encode(record))
         try:
             os.link(tmp, target)
         except FileExistsError:
@@ -627,7 +614,7 @@ class FileQueueWorker:
             else float(heartbeat_interval)
         )
         self.poll_interval = float(poll_interval)
-        self._execute = execute
+        self.execute = execute or records.execute
         self.tags = None if tags is None else frozenset(str(t) for t in tags)
         self.throttle = max(0.0, float(throttle))
         self.executed = 0
@@ -642,13 +629,6 @@ class FileQueueWorker:
         #: keeps one remote connection instead of a handshake per job.
         self._tiers: dict[str, Any] = {}
 
-    def _run_spec(self, spec: Any) -> Any:
-        if self._execute is not None:
-            return self._execute(spec)
-        from repro.engine.core import execute_job  # late: registers built-in kinds
-
-        return execute_job(spec)
-
     def _cache_tier(self, cache_spec: str) -> Any:
         tier = self._tiers.get(cache_spec)
         if tier is None:
@@ -660,23 +640,18 @@ class FileQueueWorker:
             self._tiers[cache_spec] = tier
         return tier
 
-    def _store_payload(
-        self, envelope: Any, record: dict[str, Any], payload: dict[str, Any]
-    ) -> str | None:
-        """Write ``payload`` into the envelope's cache tier (stub mode).
-
-        Returns the tier spec on success — the stub record advertises it
-        under ``stored`` so the submitter knows where to look — or ``None``
-        when no tier is requested or the write failed, in which case the
-        caller embeds the payload in the spool record as usual.
-        """
-        cache_spec = envelope.get("cache") if isinstance(envelope, dict) else None
+    def _store_payload(self, envelope: dict[str, Any], record: dict[str, Any]) -> None:
+        """Stub mode: move a completed record's payload into the envelope's
+        cache tier, leaving a payload-free stub that advertises the tier
+        spec under ``stored``.  Without a tier, or when the write fails, the
+        record keeps its payload and travels through the spool as usual."""
+        cache_spec = envelope.get("cache")
         key = record.get("spec_hash")
-        if not cache_spec or not key:
-            return None
+        if record["status"] != "completed" or not cache_spec or not key:
+            return
         try:
             tier = self._cache_tier(cache_spec)
-            if not tier.put(key, payload):
+            if not tier.put(key, record["payload"]):
                 raise EngineError(f"tier {cache_spec!r} did not acknowledge the write")
         except Exception as exc:
             logger.warning(
@@ -684,8 +659,9 @@ class FileQueueWorker:
                 "falling back to a spool payload",
                 self.worker_id, key[:16], cache_spec, type(exc).__name__, exc,
             )
-            return None
-        return cache_spec
+            return
+        del record["payload"]
+        record.update(content_hash=key, stored=cache_spec)
 
     def run_once(self) -> str | None:
         """Claim and fully process one task; returns its id (None when idle).
@@ -715,8 +691,6 @@ class FileQueueWorker:
 
     def _process(self, task_id: str, claim: Path) -> None:
         started = time.time()
-        record: dict[str, Any] = {"task_id": task_id, "worker_id": self.worker_id}
-        spec = None
         try:
             envelope = self.spool.load_envelope(claim.read_bytes())
             spec = envelope["spec"]
@@ -724,85 +698,36 @@ class FileQueueWorker:
             # A poison task (unpicklable spec, unknown class in this worker's
             # environment) must produce a *result*, or it would bounce between
             # reclamation and claiming forever.
-            record.update(
-                status="failed",
-                error_type=type(exc).__name__,
-                error_message=f"cannot load task envelope: {exc}",
-            )
-        if spec is not None:
-            try:
-                record["spec_hash"] = getattr(spec, "content_hash", lambda: task_id)()
-                record["kind"] = getattr(spec, "kind", "fold")
-            except Exception as exc:
-                # A spec that unpickles but cannot be fingerprinted (a
-                # content_hash that raises in this worker's environment — e.g.
-                # an unserialisable config.extra, or version drift in the spec
-                # class) is poison too: before this guard, the exception
-                # escaped the worker *before any heartbeat*, the lease went
-                # stale, the next claimant died the same way, and a spawned
-                # fleet burned its whole respawn_limit on one task.
-                spec = None
-                record.update(
-                    status="failed",
-                    error_type=type(exc).__name__,
-                    error_message=f"cannot fingerprint task spec: {exc}",
-                )
-        if spec is not None:
+            record = {
+                "status": "failed",
+                "error_type": type(exc).__name__,
+                "error_message": f"cannot load task envelope: {exc}",
+            }
+        else:
             with _LeaseHeartbeat(
                 self.spool, task_id, self.heartbeat_interval, owner=self.worker_id
             ):
-                try:
-                    if self.throttle:
-                        time.sleep(self.throttle)
-                    outcome = self._run_spec(spec)
-                    payload = outcome.to_payload()
-                except Exception as exc:
-                    record.update(
-                        status="failed",
-                        error_type=type(exc).__name__,
-                        error_message=str(exc),
-                    )
-                else:
-                    stored = self._store_payload(envelope, record, payload)
-                    if stored is not None:
-                        # Payload-free stub: the bytes live in the cache tier;
-                        # the spool carries only identity + status.
-                        record.update(
-                            status="completed",
-                            content_hash=record.get("spec_hash"),
-                            stored=stored,
-                        )
-                    else:
-                        record.update(status="completed", payload=payload)
+                if self.throttle:
+                    time.sleep(self.throttle)
+                record = records.run_to_record(spec, self.execute)
+                self._store_payload(envelope, record)
         # Stamped on the *result* record, not just the worker log: the
         # submitting transport feeds these into its rolling-median duration
         # tracker, which is what arms straggler re-dispatch.
-        record["duration_s"] = round(time.time() - started, 6)
-        try:
-            published = self.spool.publish_result(task_id, record)
-        except (TypeError, ValueError) as exc:
-            # An unserialisable payload must still resolve the task, exactly
-            # like a poison task — otherwise the write failure would kill the
-            # worker and the reclaimed task would kill the next one too.
-            record = {
-                "task_id": task_id,
-                "worker_id": self.worker_id,
-                "spec_hash": record.get("spec_hash"),
-                "kind": record.get("kind"),
-                "status": "failed",
-                "error_type": type(exc).__name__,
-                "error_message": f"result payload is not JSON-serialisable: {exc}",
-                "duration_s": record.get("duration_s"),
-            }
-            published = self.spool.publish_result(task_id, record)
-        if not published:
+        record.update(
+            task_id=task_id,
+            worker_id=self.worker_id,
+            duration_s=round(time.time() - started, 6),
+        )
+        status = record["status"]
+        if not self.spool.publish_result(task_id, record):
             # Lost the first-publisher race: a speculative twin (or a prior
             # owner that died after writing) already resolved this task with
             # identical bytes.  The execution is *discarded*, not counted —
             # a job is executed-to-completion exactly once in the logs.
-            record = dict(record, status="superseded")
+            status = "superseded"
             self.superseded += 1
-        elif record["status"] == "completed":
+        elif status == "completed":
             self.executed += 1
         else:
             self.failed += 1
@@ -814,7 +739,7 @@ class FileQueueWorker:
                 "task_id": task_id,
                 "spec_hash": record.get("spec_hash"),
                 "kind": record.get("kind"),
-                "status": record["status"],
+                "status": status,
                 "duration_s": round(time.time() - started, 6),
                 "finished_at": utcnow_iso(),
             },
@@ -1083,57 +1008,31 @@ class FileQueueTransport(Transport):
 
     def _completion(self, index: int, task_id: str, record: dict[str, Any]) -> Completion:
         worker = record.get("worker_id")
-        if record.get("status") == "completed":
-            from repro.engine.jobs import result_from_payload
-
-            payload = record.get("payload")
-            tier = None
+        tier = None
+        if record.get("status") == "completed" and record.get("payload") is None:
+            # Payload-free stub: the worker wrote the payload into a shared
+            # cache tier; fetch it from there.
+            stored = record.get("stored")
+            key = record.get("content_hash") or record.get("spec_hash")
+            tier = self._stub_tier(str(stored)) if stored else None
+            payload = tier.get(key) if tier is not None and key else None
             if payload is None:
-                # Payload-free stub: the worker wrote the payload into a
-                # shared cache tier; fetch it from there.
-                stored = record.get("stored")
-                key = record.get("content_hash") or record.get("spec_hash")
-                tier = self._stub_tier(str(stored)) if stored else None
-                if tier is not None and key:
-                    payload = tier.get(key)
-                if payload is None:
-                    return (
-                        index, None,
-                        RemoteJobError(
-                            "SpoolError",
-                            f"result of {task_id} was announced in cache tier "
-                            f"{stored!r} but its payload cannot be fetched "
-                            "(tier unreachable or entry evicted); resume the "
-                            "session to re-run it",
-                            worker,
-                        ),
-                    )
-            try:
-                outcome = result_from_payload(payload)
-            except Exception as exc:
                 return (
                     index, None,
                     RemoteJobError(
                         "SpoolError",
-                        f"cannot rebuild result of {task_id}: {type(exc).__name__}: {exc}",
+                        f"result of {task_id} was announced in cache tier "
+                        f"{stored!r} but its payload cannot be fetched "
+                        "(tier unreachable or entry evicted); resume the "
+                        "session to re-run it",
                         worker,
                     ),
                 )
-            # Executed remotely, not served from the result cache: the session
-            # caches and journals it exactly like a pool completion.
-            outcome.from_cache = False
-            if tier is not None:
-                # Where the payload already durably lives, so the session's
-                # write-through can skip the tiers that cover it.
-                outcome.stored_in = tier.location
-            return (index, outcome, None)
-        return (
-            index, None,
-            RemoteJobError(
-                record.get("error_type") or "Error",
-                record.get("error_message") or "remote job failed",
-                worker,
-            ),
+            record = dict(record, payload=payload)
+        # A stub's tier is where the payload already durably lives, so the
+        # session's write-through can skip the tiers that cover it.
+        return records.record_to_completion(
+            index, record, worker, tier.location if tier is not None else None
         )
 
     def _maintain(self) -> None:

@@ -3,12 +3,10 @@
 ``SerialTransport`` runs each job in the calling process — the reference
 execution every other transport must reproduce bit-identically, and the one
 unit tests default to.  ``PoolTransport`` fans the batch out over a
-:class:`concurrent.futures.ProcessPoolExecutor` (one future per spec, no
-chunking, completions in completion order), replicating the parent's
-backend/executor registries into every worker the way the PR 3 session loop
-did — spawn-based start methods do not inherit parent module state, and
-unpicklable registry entries are dropped with a one-time warning rather than
-failing the fan-out.
+:func:`~repro.engine.core.worker_pool` (one future per spec, no chunking,
+completions in completion order), whose workers start with the parent's
+backend/executor registries.  Both return live result objects, not
+:mod:`~repro.engine.records` result records.
 """
 
 from __future__ import annotations
@@ -16,6 +14,7 @@ from __future__ import annotations
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from typing import Any, ClassVar, Sequence
 
+from repro.engine import records
 from repro.engine.transports.base import (
     Completion,
     Transport,
@@ -24,14 +23,6 @@ from repro.engine.transports.base import (
 )
 from repro.exceptions import EngineError
 from repro.utils.parallel import serial_stream
-
-
-def _execute(spec: Any) -> Any:
-    # Late import: transports are imported by repro.engine.core at module
-    # load, so the executor dispatch must resolve lazily.
-    from repro.engine.core import execute_job
-
-    return execute_job(spec)
 
 
 class SerialTransport(Transport):
@@ -53,7 +44,7 @@ class SerialTransport(Transport):
         self._submitted = True
         specs = list(specs)
         self._remaining = len(specs)
-        self._stream = serial_stream(_execute, specs)
+        self._stream = serial_stream(records.execute, specs)
         return self._remaining
 
     def poll(self, timeout: float | None = None) -> list[Completion]:
@@ -103,23 +94,11 @@ class PoolTransport(Transport):
             # unpicklable runtime registrations stay visible.
             self._serial = SerialTransport()
             return self._serial.submit(specs)
-        from repro.engine.core import _picklable
-        from repro.engine.registry import (
-            executor_snapshot,
-            registry_snapshot,
-            restore_registries,
-        )
+        from repro.engine.core import worker_pool
 
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.processes,
-            initializer=restore_registries,
-            initargs=(
-                _picklable(registry_snapshot(), "backend"),
-                _picklable(executor_snapshot(), "executor"),
-            ),
-        )
+        self._pool = worker_pool(self.processes)
         for index, spec in enumerate(specs):
-            self._futures[self._pool.submit(_execute, spec)] = index
+            self._futures[self._pool.submit(records.execute, spec)] = index
         return len(self._futures)
 
     def poll(self, timeout: float | None = None) -> list[Completion]:

@@ -1,10 +1,10 @@
 """The ``network`` transport: submit jobs to a running ``repro-serve``.
 
 The client half of :mod:`repro.serve`: one batch's specs travel to the
-server as pickled ``job`` frames, spool-format result records stream back,
-and the session loop sees the same ``(index, outcome | RemoteJobError)``
-completions every other transport produces — so caching, journaling and
-resume need no network awareness at all.
+server as pickled ``job`` frames, result records (:mod:`repro.engine.records`)
+stream back, and the session loop sees the same ``(index, outcome |
+RemoteJobError)`` completions every other transport produces — so caching,
+journaling and resume need no network awareness at all.
 
 Three behaviours matter beyond the happy path:
 
@@ -19,9 +19,9 @@ Three behaviours matter beyond the happy path:
   and ``Session.resume()`` against a restarted server re-runs exactly the
   jobs that never completed.  A server that is not running at submit time
   raises :class:`EngineError` immediately with the command to start one.
-* **Bit-identity.**  Result records are the spool's canonical JSON, rebuilt
-  through the same :func:`~repro.engine.jobs.result_from_payload` path as
-  file-queue completions — network runs are byte-identical to serial runs.
+* **Bit-identity.**  Result records are rebuilt through the same
+  :func:`~repro.engine.records.record_to_completion` as file-queue
+  completions — network runs are byte-identical to serial runs.
 
 Like ``filequeue``, this transport is never auto-selected: it needs a
 server address, so it is an explicit ``config.transport = "network"``
@@ -37,6 +37,7 @@ import uuid
 from collections import deque
 from typing import Any, Sequence
 
+from repro.engine import records
 from repro.engine.transports.base import (
     Completion,
     RemoteJobError,
@@ -270,38 +271,14 @@ class NetworkTransport(Transport):
                 return
 
     def _completion(self, index: int, record: dict[str, Any]) -> Completion:
-        server = record.get("server_id") or self.server_id
-        if record.get("status") == "completed":
-            from repro.engine.jobs import result_from_payload
-
-            try:
-                outcome = result_from_payload(record["payload"])
-            except Exception as exc:
-                return (
-                    index, None,
-                    RemoteJobError(
-                        "ServeError",
-                        f"cannot rebuild result of job {index}: "
-                        f"{type(exc).__name__}: {exc}",
-                        server,
-                    ),
-                )
-            # Executed (or served from the *server's* cache) remotely: the
-            # session caches and journals it exactly like a pool completion.
-            outcome.from_cache = False
-            if record.get("stored") or record.get("cached"):
-                # The server's own tier already holds the payload; a
-                # RemoteTier pointed at the same host:port covers this token
-                # (textual address match) and skips its write-through put.
-                outcome.stored_in = ("remote", self.host, self.port)
-            return (index, outcome, None)
-        return (
-            index, None,
-            RemoteJobError(
-                record.get("error_type") or "Error",
-                record.get("error_message") or "remote job failed",
-                server,
-            ),
+        stored_in = None
+        if record.get("stored") or record.get("cached"):
+            # The server's own tier already holds the payload; a RemoteTier
+            # pointed at the same host:port covers this token (textual
+            # address match) and skips its write-through put.
+            stored_in = ("remote", self.host, self.port)
+        return records.record_to_completion(
+            index, record, record.get("server_id") or self.server_id, stored_in
         )
 
     def _fail_outstanding(self) -> list[Completion]:

@@ -115,7 +115,3 @@ class EagleEmulatorBackend(Backend):
     def total_shots(self) -> int:
         """Total shots executed across all jobs on this backend instance."""
         return sum(job.shots for job in self.job_records)
-
-    def clear_job_records(self) -> None:
-        """Reset the per-job execution log."""
-        self.job_records.clear()

@@ -66,12 +66,6 @@ def configuration_qubits_for_length(length: int) -> int:
     return QUBITS_PER_TURN * free_turns
 
 
-def interaction_qubits_for_length(length: int) -> int:
-    """Interaction / slack qubits carried by the hardware encoding."""
-    total = qubit_count_for_length(length)
-    return max(0, total - configuration_qubits_for_length(length))
-
-
 def qubit_count_for_length(length: int) -> int:
     """Total qubit count for a fragment of ``length`` residues.
 

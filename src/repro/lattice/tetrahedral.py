@@ -21,7 +21,8 @@ from repro.exceptions import LatticeError
 #: Cα–Cα virtual bond length in Angstroms.
 CA_VIRTUAL_BOND: float = 3.8
 
-#: The four tetrahedral directions of the A sublattice (unnormalised).
+#: The four tetrahedral directions of the A sublattice (unnormalised); the
+#: B-sublattice directions are their negatives.
 _DIRECTIONS_A = np.array(
     [
         [1.0, 1.0, 1.0],
@@ -30,37 +31,22 @@ _DIRECTIONS_A = np.array(
         [-1.0, -1.0, 1.0],
     ]
 )
-#: B-sublattice directions are the negatives of the A directions.
-_DIRECTIONS_B = -_DIRECTIONS_A
 
 #: Ideal tetrahedral bond angle in degrees.
 TETRAHEDRAL_ANGLE_DEG: float = 109.4712206
 
 
 class TetrahedralLattice:
-    """Geometry helper exposing step vectors and conformation utilities."""
+    """Lattice geometry at a fixed virtual bond length."""
 
     def __init__(self, bond_length: float = CA_VIRTUAL_BOND):
         if bond_length <= 0:
             raise LatticeError(f"bond length must be positive, got {bond_length}")
         self.bond_length = float(bond_length)
-        scale = self.bond_length / np.sqrt(3.0)
-        self._steps_a = _DIRECTIONS_A * scale
-        self._steps_b = _DIRECTIONS_B * scale
-
-    def step_vectors(self, step_index: int) -> np.ndarray:
-        """The four candidate step vectors for step ``step_index`` (0-based)."""
-        return self._steps_a if step_index % 2 == 0 else self._steps_b
 
     def turns_to_coords(self, turns: np.ndarray | list[int]) -> np.ndarray:
         """Convert a turn sequence into (L, 3) Cα coordinates starting at the origin."""
         return turns_to_coords(turns, bond_length=self.bond_length)
-
-    def num_conformations(self, length: int) -> int:
-        """Total number of (not necessarily self-avoiding) conformations with the
-        first two turns fixed."""
-        free_turns = max(0, length - 3)
-        return 4**free_turns
 
 
 def turns_to_coords(turns: np.ndarray | list[int], bond_length: float = CA_VIRTUAL_BOND) -> np.ndarray:

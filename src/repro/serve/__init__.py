@@ -2,8 +2,8 @@
 
 :class:`ReproServer` accepts job submissions over a socket (no shared
 filesystem), multiplexes many concurrent client sessions onto one shared
-worker pool and one shared result cache, and streams spool-format result
-records back per client.  The submitting side is
+worker pool and one shared result cache, and streams result records
+(:mod:`repro.engine.records`) back per client.  The submitting side is
 ``PipelineConfig.transport = "network"``.  Wire format in
 :mod:`repro.serve.protocol`; service semantics in :mod:`repro.serve.server`.
 """

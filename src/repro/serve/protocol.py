@@ -7,11 +7,10 @@ shared filesystem.  The wire format mirrors the spool's file format:
 * every message is one **frame**: a 4-byte big-endian length prefix followed
   by a pickled ``dict`` (specs are arbitrary registered classes, so the
   envelope travels as a pickle, exactly like a ``tasks/<id>.task`` file);
-* **result records** inside those frames are first round-tripped through the
-  same canonical JSON encoding the spool's ``results/<id>.json`` files use
-  (``sort_keys``, :class:`~repro.utils.io._NumpyJSONEncoder`), so a client
-  rebuilds byte-identical payloads whether a job travelled over a socket or
-  a spool directory.
+* the **result record** inside a ``result`` frame is the one format
+  :mod:`repro.engine.records` defines for every remote transport, so a
+  client rebuilds byte-identical payloads whether a job travelled over a
+  socket or a spool directory.
 
 Like spool pickles, frames are **trusted local state**: bind ``repro-serve``
 to localhost or a private network you control — never expose it to clients
@@ -26,7 +25,7 @@ frame             direction   fields
 ``hello``          c -> s     ``client_id``, ``protocol``
 ``welcome``        s -> c     ``protocol``, ``server_id``, ``max_inflight``
 ``job``            c -> s     ``index``, ``spec`` (pickled spec object)
-``result``         s -> c     ``index``, ``record`` (spool-format result record)
+``result``         s -> c     ``index``, ``record`` (a result record)
 ``busy``           s -> c     ``index``, ``reason`` (admission-control rejection)
 ``error``          s -> c     ``reason`` (protocol violation; connection closes)
 ``bye``            c -> s     clean disconnect (submitter walked away)

@@ -7,9 +7,9 @@ the socket equivalent of the spool directory: a long-running daemon that
 
 * accepts length-prefixed job submissions (:mod:`repro.serve.protocol`) from
   many concurrent client sessions,
-* multiplexes them onto **one shared worker pool** (a process pool with the
-  same registry-snapshot replication the local pool transport uses, or
-  in-process threads for ``workers=0``) and **one shared**
+* multiplexes them onto **one shared worker pool** (a spawn-started
+  :func:`~repro.engine.core.worker_pool`, or in-process threads for
+  ``workers=0``) and **one shared**
   :class:`~repro.engine.cache.ResultCache` — a job any client ever completed
   is served to every later client without re-execution,
 * applies per-client **admission control**: at most ``max_inflight`` jobs in
@@ -23,8 +23,10 @@ The submitting side is ``PipelineConfig.transport = "network"``
 (:class:`~repro.engine.transports.network.NetworkTransport`); the session /
 journal / resume semantics are untouched because the transport speaks the
 same ``(index, outcome | RemoteJobError)`` completion language as every
-other transport.  Result records reuse the spool's canonical JSON encoding,
-so network results are bit-identical to file-queue (and serial) results.
+other transport.  Pool workers run each job with
+:func:`~repro.engine.records.run_to_record`, the same codec file-queue
+workers use, so network results are bit-identical to file-queue (and
+serial) results.
 
 Threading model: one acceptor thread; per connection one reader thread
 (frames in) and one sender thread (frames out, decoupled by a queue so a
@@ -41,10 +43,12 @@ import queue
 import socket
 import threading
 import uuid
+from concurrent.futures import Future
 from pathlib import Path
 from typing import Any, Callable
 
 from repro.engine.cache import ResultCache
+from repro.engine import records
 from repro.exceptions import EngineError
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
@@ -52,7 +56,6 @@ from repro.serve.protocol import (
     recv_message,
     send_message,
 )
-from repro.utils.io import _NumpyJSONEncoder
 from repro.utils.logging import get_logger
 
 logger = get_logger(__name__)
@@ -63,13 +66,6 @@ DEFAULT_MAX_INFLIGHT = 32
 
 #: Default server-wide backlog cap across all clients.
 DEFAULT_MAX_PENDING = 1024
-
-
-def _execute(spec: Any) -> Any:
-    # Late import: registers the built-in job kinds in pool workers too.
-    from repro.engine.core import execute_job
-
-    return execute_job(spec)
 
 
 class _ClientConnection:
@@ -189,7 +185,7 @@ class ReproServer:
     workers:
         Size of the shared execution pool.  ``> 0`` builds a process pool
         with the parent's backend/executor registries replicated into every
-        worker (exactly like the local ``pool`` transport); ``0`` executes
+        worker (:func:`~repro.engine.core.worker_pool`); ``0`` executes
         in-process on a small thread pool — no isolation or parallel
         speed-up, but runtime registrations (test doubles, injected
         executors) stay visible.
@@ -224,7 +220,7 @@ class ReproServer:
         if isinstance(cache, (str, Path)):
             cache = ResultCache(cache)
         self.cache = cache
-        self._execute = execute or _execute
+        self.execute = execute or records.execute
         self.server_id = f"serve-{os.getpid()}-{uuid.uuid4().hex[:6]}"
         self._lock = threading.Lock()
         self._clients: set[_ClientConnection] = set()
@@ -283,30 +279,15 @@ class ReproServer:
 
             return ThreadPoolExecutor(max_workers=4, thread_name_prefix="serve-exec")
         import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
 
-        from repro.engine.core import _picklable
-        from repro.engine.registry import (
-            executor_snapshot,
-            registry_snapshot,
-            restore_registries,
-        )
+        from repro.engine.core import worker_pool
 
-        return ProcessPoolExecutor(
-            max_workers=self.workers,
-            # Spawned (not forked) workers: fork would copy the listening
-            # socket and every connected client fd into each worker as it is
-            # lazily created, so a SIGKILLed server would leave orphans
-            # holding the port (EADDRINUSE on restart, and a listen queue
-            # nobody accepts from) and half-open client connections that
-            # never see EOF.
-            mp_context=multiprocessing.get_context("spawn"),
-            initializer=restore_registries,
-            initargs=(
-                _picklable(registry_snapshot(), "backend"),
-                _picklable(executor_snapshot(), "executor"),
-            ),
-        )
+        # Spawned (not forked) workers: fork would copy the listening socket
+        # and every connected client fd into each worker as it is lazily
+        # created, so a SIGKILLed server would leave orphans holding the port
+        # (EADDRINUSE on restart, and a listen queue nobody accepts from) and
+        # half-open client connections that never see EOF.
+        return worker_pool(self.workers, multiprocessing.get_context("spawn"))
 
     def serve_forever(self) -> None:
         """Block until :meth:`shutdown` (the CLI's main loop)."""
@@ -399,37 +380,29 @@ class ReproServer:
                 self.jobs_rejected += 1
             conn.send({"type": "busy", "index": index, "reason": f"server busy: {reason}"})
             return
-        key, kind, poisoned = self._fingerprint(spec)
-        if poisoned is not None:
-            # The crash-loop lesson from the file-queue fleet, applied here
-            # from day one: a spec whose content_hash() raises resolves as a
-            # failed *result*, it never takes the service down.
-            self._finish(conn, index, poisoned)
-            return
-        if self.cache is not None and key is not None:
-            payload = self.cache.get(key)
+        if self.cache is not None:
+            try:
+                key = spec.content_hash()
+            except Exception:
+                key = None  # a poison spec: run_to_record reports it as failed
+            payload = self.cache.get(key) if key else None
             if payload is not None:
                 with self._lock:
                     self.cache_hits += 1
                 self._finish(conn, index, {
                     "status": "completed", "payload": payload,
-                    "spec_hash": key, "kind": kind, "cached": True,
+                    "spec_hash": key, "kind": getattr(spec, "kind", "fold"), "cached": True,
                 })
                 return
         try:
-            future = self._pool.submit(self._execute, spec)
+            future = self._pool.submit(records.run_to_record, spec, self.execute)
         except RuntimeError as exc:  # pool already shut down
-            self._finish(conn, index, {
-                "status": "failed", "error_type": "EngineError",
-                "error_message": f"server is shutting down: {exc}",
-                "spec_hash": key, "kind": kind,
-            })
-            return
+            future = Future()
+            future.set_exception(EngineError(f"server is shutting down: {exc}"))
         with self._lock:
             conn.futures[index] = future
         future.add_done_callback(
-            lambda f, conn=conn, index=index, key=key, kind=kind:
-                self._on_done(conn, index, key, kind, f)
+            lambda f, conn=conn, index=index: self._on_done(conn, index, f)
         )
 
     def _handle_cache(self, conn: _ClientConnection, message: dict[str, Any]) -> None:
@@ -477,7 +450,7 @@ class ReproServer:
                 # Same canonical encoding job results get on their way into
                 # the cache, so a payload written by a remote worker is
                 # byte-identical to one the server computed itself.
-                payload = json.loads(json.dumps(payload, sort_keys=True, cls=_NumpyJSONEncoder))
+                payload = json.loads(records.encode(payload))
                 self.cache.put(key, payload)
                 stored = True
             except Exception as exc:
@@ -489,80 +462,31 @@ class ReproServer:
             self.cache_puts += 1
         conn.send({"type": "cache_ack", "key": key, "stored": stored})
 
-    @staticmethod
-    def _fingerprint(spec: Any) -> tuple[str | None, str | None, dict[str, Any] | None]:
-        try:
-            key = getattr(spec, "content_hash", lambda: None)()
-            kind = getattr(spec, "kind", "fold")
-        except Exception as exc:
-            return None, None, {
-                "status": "failed",
-                "error_type": type(exc).__name__,
-                "error_message": f"cannot fingerprint job spec: {exc}",
-            }
-        return key, kind, None
-
-    def _on_done(
-        self, conn: _ClientConnection, index: int, key: str | None, kind: str | None,
-        future: Any,
-    ) -> None:
+    def _on_done(self, conn: _ClientConnection, index: int, future: Future) -> None:
         with self._lock:
             conn.futures.pop(index, None)
-        if future.cancelled():
-            self._finish(conn, index, {
-                "status": "failed", "error_type": "CancelledError",
-                "error_message": "job cancelled before execution "
-                                 "(client disconnected or server shutting down)",
-                "spec_hash": key, "kind": kind,
-            })
-            return
-        exc = future.exception()
-        if exc is not None:
-            self._finish(conn, index, {
-                "status": "failed", "error_type": type(exc).__name__,
-                "error_message": str(exc), "spec_hash": key, "kind": kind,
-            })
-            return
         try:
-            payload = future.result().to_payload()
-        except Exception as payload_exc:
-            self._finish(conn, index, {
-                "status": "failed", "error_type": type(payload_exc).__name__,
-                "error_message": f"cannot serialise the result payload: {payload_exc}",
-                "spec_hash": key, "kind": kind,
-            })
-            return
-        self._finish(conn, index, {
-            "status": "completed", "payload": payload,
-            "spec_hash": key, "kind": kind, "cached": False,
-        }, cache_key=key)
-
-    def _finish(
-        self, conn: _ClientConnection, index: int, record: dict[str, Any],
-        cache_key: str | None = None,
-    ) -> None:
-        """Settle one accepted job: normalise, cache, count, deliver."""
-        record = dict(record)
-        record.setdefault("server_id", self.server_id)
-        try:
-            # The spool's canonical encoding: network results rebuild to the
-            # same bytes as file-queue results (and as the cache's own files).
-            record = json.loads(json.dumps(record, sort_keys=True, cls=_NumpyJSONEncoder))
-        except (TypeError, ValueError) as exc:
+            record = future.result()
+        except Exception as exc:  # cancelled by a disconnect, or the pool broke
             record = {
                 "status": "failed", "error_type": type(exc).__name__,
-                "error_message": f"result payload is not JSON-serialisable: {exc}",
-                "spec_hash": record.get("spec_hash"), "kind": record.get("kind"),
-                "server_id": self.server_id,
+                "error_message": str(exc) or "job cancelled before execution "
+                "(client disconnected or server shutting down)",
             }
-            cache_key = None
-        if cache_key is not None and self.cache is not None and record["status"] == "completed":
+        self._finish(conn, index, record)
+
+    def _finish(self, conn: _ClientConnection, index: int, record: dict[str, Any]) -> None:
+        """Settle one accepted job: cache a fresh result, count, deliver."""
+        record = dict(record, server_id=self.server_id)
+        record.setdefault("cached", False)
+        key = record.get("spec_hash")
+        fresh = record["status"] == "completed" and not record["cached"]
+        if fresh and key and self.cache is not None:
             try:
-                self.cache.put(cache_key, record["payload"])
+                self.cache.put(key, record["payload"])
             except Exception as exc:
                 logger.warning(
-                    "serve %s: cannot cache result %s: %s",
-                    self.server_id, cache_key[:16], exc,
+                    "serve %s: cannot cache result %s: %s", self.server_id, key[:16], exc,
                 )
             else:
                 # Tells tier-aware clients the payload is already held by

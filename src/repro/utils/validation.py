@@ -14,13 +14,6 @@ def require_positive(name: str, value: float) -> float:
     return value
 
 
-def require_non_negative(name: str, value: float) -> float:
-    """Raise ``ValueError`` unless ``value`` is >= 0."""
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value!r}")
-    return value
-
-
 def require_in_range(name: str, value: float, lo: float, hi: float) -> float:
     """Raise ``ValueError`` unless ``lo <= value <= hi``."""
     if not (lo <= value <= hi):

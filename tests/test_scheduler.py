@@ -47,7 +47,10 @@ from repro.exceptions import EngineError
 class EchoSpec:
     name: str
 
-    kind: ClassVar[str] = "echo"
+    # Its own kind name: test_transports registers an executor for "echo",
+    # and whichever module is collected last would otherwise win the
+    # registry entry for the whole session.
+    kind: ClassVar[str] = "sched_echo"
 
     def content_hash(self) -> str:
         return hashlib.sha256(f"echo/v1\x1f{self.name}".encode("utf-8")).hexdigest()
@@ -65,7 +68,7 @@ def _fake_execute(spec: EchoSpec) -> _FakeOutcome:
     return _FakeOutcome({"spec_hash": spec.content_hash(), "schema": "echo/v1", "name": spec.name})
 
 
-register_executor("echo", lambda spec: _fake_execute(spec), overwrite=True)
+register_executor("sched_echo", lambda spec: _fake_execute(spec), overwrite=True)
 
 BASE_CONFIG = PipelineConfig(seed=5)
 
@@ -102,13 +105,13 @@ def test_parse_tags_and_capabilities_match():
 
 
 def test_job_requirements_cover_kind_and_pinned_backend():
-    assert job_requirements(EchoSpec("a")) == {"echo"}
+    assert job_requirements(EchoSpec("a")) == {"sched_echo"}
     auto = Engine(config=BASE_CONFIG.with_updates(backend="auto")).spec("2bok", "EDACQ")
     assert job_requirements(auto) == {"fold"}  # auto resolves on the worker
     pinned = Engine(config=BASE_CONFIG.with_updates(backend="mps")).spec("2bok", "EDACQ")
     assert job_requirements(pinned) == {"fold", "mps"}
     tagged = require_tags(EchoSpec("b"), "gpu", "licensed")
-    assert job_requirements(tagged) == {"echo", "gpu", "licensed"}
+    assert job_requirements(tagged) == {"sched_echo", "gpu", "licensed"}
 
 
 def test_priority_and_requirements_are_hash_neutral_and_survive_pickling():
@@ -210,7 +213,7 @@ def test_tagged_worker_skips_tasks_it_cannot_serve_without_poisoning(tmp_path):
     spool = FileQueueSpool(tmp_path / "spool")
     spec = require_tags(EchoSpec("needs-mps"), "mps")
     spool.enqueue("t-00000-x", spec, requires=job_requirements(spec))
-    limited = FileQueueWorker(spool, worker_id="limited", tags={"echo"}, execute=_fake_execute)
+    limited = FileQueueWorker(spool, worker_id="limited", tags={"sched_echo"}, execute=_fake_execute)
     assert limited.run_once() is None
     assert limited.skipped == 1 and limited.executed == 0
     # Skipped means *untouched*: still claimable, no claim, no poison result.
@@ -218,7 +221,7 @@ def test_tagged_worker_skips_tasks_it_cannot_serve_without_poisoning(tmp_path):
     assert spool.claim_ids() == []
     assert spool.read_result("t-00000-x") is None
     capable = FileQueueWorker(
-        spool, worker_id="capable", tags={"echo", "mps"}, execute=_fake_execute
+        spool, worker_id="capable", tags={"sched_echo", "mps"}, execute=_fake_execute
     )
     assert capable.run_once() == "t-00000-x"
     record = spool.read_result("t-00000-x")

@@ -243,7 +243,7 @@ def test_stale_claim_with_result_is_dropped_not_requeued(tmp_path):
     spool = FileQueueSpool(tmp_path / "spool")
     spool.enqueue("t1", EchoSpec("a"))
     claim = spool.claim("t1")
-    spool.write_result("t1", {"task_id": "t1", "status": "completed", "payload": {}})
+    spool.publish_result("t1", {"task_id": "t1", "status": "completed", "payload": {}})
     stale = time.time() - 100
     os.utime(claim, (stale, stale))
     assert spool.reclaim_stale(lease_timeout=5.0) == []
@@ -365,7 +365,7 @@ def test_worker_skips_a_task_whose_result_already_exists(tmp_path):
 
     spool = FileQueueSpool(tmp_path / "spool")
     spool.enqueue("t1", EchoSpec("a"))
-    spool.write_result("t1", {"task_id": "t1", "status": "completed", "payload": {"x": 1}})
+    spool.publish_result("t1", {"task_id": "t1", "status": "completed", "payload": {"x": 1}})
     worker = FileQueueWorker(spool, worker_id="w1", lease_timeout=5.0, execute=recording)
     assert worker.run_once() is None
     assert calls == []  # nothing re-executed
@@ -432,7 +432,7 @@ def test_worker_survives_a_spec_whose_content_hash_raises(tmp_path):
     record = spool.read_result("1-poison")
     assert record["status"] == "failed"
     assert record["error_type"] == "RuntimeError"
-    assert "cannot fingerprint task spec" in record["error_message"]
+    assert "cannot fingerprint job spec" in record["error_message"]
     assert "exploded" in record["error_message"]
     # The same worker keeps serving — no crash, no stale lease left behind.
     assert worker.run_once() == "2-good"
