@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import os
-import warnings
 from pathlib import Path
 
 import pytest
@@ -28,8 +27,6 @@ import pytest
 from repro.analysis.comparison import compare_methods
 from repro.config import PipelineConfig
 from repro.dataset.builder import DatasetBuilder
-
-warnings.filterwarnings("ignore", message="COBYLA")
 
 #: Stratified subset used by default (3 fragments per group, ordered as in the paper).
 DEFAULT_SUBSET_PER_GROUP = 3

@@ -38,7 +38,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from pathlib import Path
 
 from repro.config import PipelineConfig
@@ -114,7 +113,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    warnings.filterwarnings("ignore", message="COBYLA")
     config = PipelineConfig.fast().with_updates(
         seed=args.seed,
         session_dir=args.session_dir,

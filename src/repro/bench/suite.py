@@ -17,8 +17,10 @@ metric as median/p10/p90.  The suite covers the engine's hot paths:
   Hamiltonian throughput on a 14-residue fragment, one ``energies`` call vs a
   per-conformation ``breakdown`` loop (the batch self-checks bit-identity
   against the per-conformation energies);
-* ``docking.searches_per_sec`` — complete multi-seed Monte-Carlo dock
-  searches (each seed is one full search over every pocket);
+* ``docking.searches_per_sec{,.sequential}`` — complete multi-seed
+  Monte-Carlo dock searches (each seed is one full search over every
+  pocket), seeds in lock-step with one batched scoring call per round vs
+  seeds one after another with one ``score_coords`` call per pose;
 * ``dataset.build_seconds.{cold,warm}`` — one-fragment dataset build against
   an empty vs freshly warmed result cache;
 * ``transport.ms_per_job.{serial,pool,filequeue}`` — per-job wall overhead of
@@ -153,21 +155,29 @@ def bench_lattice_energies(config: PipelineConfig, smoke: bool) -> dict[str, flo
 
 
 def bench_docking_search(config: PipelineConfig, smoke: bool) -> dict[str, float]:
-    """Complete multi-seed dock searches per second (batched walkers)."""
+    """Complete multi-seed dock searches per second: lock-step vs sequential seeds."""
     record, ligand = _bench_receptor_ligand()
-    seeds = 2 if smoke else max(2, min(4, config.docking_seeds))
+    # Smoke mode keeps the seed count: it sets the lock-step batch width, and
+    # with it the gated lock-step speedup.
+    seeds = max(2, min(4, config.docking_seeds))
     steps = 60 if smoke else max(60, min(150, config.docking_mc_steps))
-    engine = DockingEngine(
-        num_seeds=seeds,
-        num_poses=min(5, config.docking_poses),
-        mc_steps=steps,
-        master_seed=config.seed,
-        batch=config.docking_batch,
-    )
-    elapsed = _timed(
-        lambda: engine.dock(record.structure, ligand, receptor_id=f"{_BENCH_PDB}:BENCH"), 1
-    )
-    return {"docking.searches_per_sec": seeds / elapsed}
+    rates = {}
+    for metric, batch in (
+        ("docking.searches_per_sec", config.docking_batch),
+        ("docking.searches_per_sec.sequential", False),
+    ):
+        engine = DockingEngine(
+            num_seeds=seeds,
+            num_poses=min(5, config.docking_poses),
+            mc_steps=steps,
+            master_seed=config.seed,
+            batch=batch,
+        )
+        elapsed = _timed(
+            lambda: engine.dock(record.structure, ligand, receptor_id=f"{_BENCH_PDB}:BENCH"), 1
+        )
+        rates[metric] = seeds / elapsed
+    return rates
 
 
 def bench_vqe_objective(config: PipelineConfig, smoke: bool) -> dict[str, float]:
@@ -385,6 +395,7 @@ METRIC_UNITS: dict[str, str] = {
     "lattice.conformations_scored_per_sec.batch": "conformations/s",
     "lattice.conformations_scored_per_sec.scalar": "conformations/s",
     "docking.searches_per_sec": "searches/s",
+    "docking.searches_per_sec.sequential": "searches/s",
     "dataset.build_seconds.cold": "s",
     "dataset.build_seconds.warm": "s",
     "transport.ms_per_job.serial": "ms",
@@ -424,6 +435,11 @@ def derived_metrics(results: dict[str, dict]) -> dict[str, float]:
         "docking.batch_speedup",
         "docking.poses_scored_per_sec.batch",
         "docking.poses_scored_per_sec.scalar",
+    )
+    ratio(
+        "docking.lockstep_speedup",
+        "docking.searches_per_sec",
+        "docking.searches_per_sec.sequential",
     )
     ratio(
         "lattice.batch_speedup",

@@ -147,9 +147,10 @@ class PipelineConfig:
         Per-client in-flight job window of the ``network`` transport (the
         server clamps it to its own advertised admission cap).
     docking_batch:
-        Whether Monte-Carlo pose search advances its restart walkers in
-        lock-step, scoring every walker's proposal in one batched
-        ``score_coords_batch`` call.  The batched and scalar paths are
+        Whether a dock job advances all of its seeds in lock-step, scoring
+        every pending pose of a round in one batched ``score_coords_batch``
+        call.  ``False`` is the reference path: seeds run one after another
+        and each pose gets its own ``score_coords`` call.  Both paths are
         bit-identical (the determinism harness asserts it), so this knob is
         pure speed and never enters any job hash.
     quantum_compiled_plans:

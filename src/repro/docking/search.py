@@ -8,22 +8,26 @@ distinct poses it visits, and polishes each of them with a short greedy local
 refinement.  Every run is fully determined by its seed, which is how the
 paper's per-seed docking reproducibility is achieved.
 
-Multi-walker batching
----------------------
-The restarts are independent walkers, so they advance in *lock-step*: every
-Metropolis step scores all walkers' proposals in one
-:meth:`~repro.docking.scoring.VinaScoringFunction.score_coords_batch` call.
-Each walker owns its own RNG substream — walker 0 uses the caller's generator
-directly and walkers 1..W-1 are spawned children — so the draw sequence per
-walker does not depend on whether the walkers run batched (lock-step) or
-scalar (one walker at a time): ``batch=True`` and ``batch=False`` return
-bit-identical poses, and a single-walker search consumes the caller's
-generator exactly as the historical sequential implementation did.
+Coroutine protocol
+------------------
+:meth:`MonteCarloPoseSearch.search_coroutine` never scores anything itself:
+it yields ``(P, A, 3)`` pose coordinates, is sent their ``(P,)`` scores, and
+returns the sorted poses.  Its restarts are walkers on independent RNG
+streams (:func:`walker_rngs`) advancing in lock-step, one request per
+Metropolis step; each refinement step requests one pose.  :func:`run_lockstep`
+joins the pending requests of many coroutines into one scoring call per round.
+A multi-seed dock puts its *seeds* in lock-step, not its sites: a seed's sites
+share one RNG, from which walker 0's Metropolis tests and the refinement draw
+a data-dependent number of values, so site ``k + 1`` cannot start before site
+``k`` ends.  A score does not depend on which poses share its batch, so
+lock-step driving is bit-identical to the one-seed-at-a-time,
+one-pose-per-call reference path (``batch=False``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Generator
 
 import numpy as np
 
@@ -66,6 +70,41 @@ def walker_rngs(rng: np.random.Generator, count: int) -> list[np.random.Generato
             for seed in rng.bit_generator.seed_seq.spawn(count - 1)
         ]
     return [rng, *children]
+
+
+def run_lockstep(coroutines: list[Generator], scorer: VinaScoringFunction, batch: bool = True) -> list:
+    """Drive scoring coroutines and return their results in order.
+
+    With ``batch`` the coroutines advance together, and each round scores
+    every pending request in one ``score_coords_batch`` call.  Without it (the
+    reference path) they run one after another, one ``score_coords`` call per
+    pose.  If a coroutine raises, the error propagates and all are closed.
+    """
+    results: list = [None] * len(coroutines)
+    indices = range(len(coroutines))
+    try:
+        for group in [indices] if batch else [[index] for index in indices]:
+            replies: dict = dict.fromkeys(group)
+            while replies:
+                requests = {}
+                for index, reply in replies.items():
+                    try:
+                        requests[index] = coroutines[index].send(reply)
+                    except StopIteration as stop:
+                        results[index] = stop.value
+                if not requests:
+                    break
+                coords = np.concatenate(list(requests.values()))
+                if batch:
+                    scores = scorer.score_coords_batch(coords)
+                else:
+                    scores = np.array([scorer.score_coords(pose) for pose in coords])
+                bounds = np.cumsum([len(request) for request in requests.values()])[:-1]
+                replies = dict(zip(requests, np.split(scores, bounds)))
+    finally:
+        for coroutine in coroutines:
+            coroutine.close()
+    return results
 
 
 class MonteCarloPoseSearch:
@@ -122,71 +161,63 @@ class MonteCarloPoseSearch:
         translation = pose.translation + rng.normal(scale=self.translation_step * scale, size=3)
         return rotation, translation
 
-    def _perturb(self, pose: Pose, rng: np.random.Generator, scale: float = 1.0) -> Pose:
-        rotation, translation = self._proposal_state(pose, rng, scale)
-        score = self.scorer.score_pose(rotation, translation)
-        return Pose(rotation=rotation, translation=translation, score=score)
-
-    def _score_states(self, states: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-        """Score many (rotation, translation) states in one batched call."""
-        ligand = self.scorer.ligand
-        coords = np.stack([ligand.transformed(r, t) for r, t in states])
-        return self.scorer.score_coords_batch(coords)
-
-    def _accept(self, delta: float, rng: np.random.Generator) -> bool:
-        """Metropolis acceptance; draws a uniform only for uphill moves."""
-        return delta <= 0 or rng.random() < np.exp(-delta / self.temperature)
-
-    # -- walkers -----------------------------------------------------------------
-
-    def _walk_scalar(
-        self, walkers: int, steps: int, rngs: list[np.random.Generator]
-    ) -> list[Pose]:
-        """Advance the walkers one at a time (reference path)."""
-        candidates: list[Pose] = []
-        for walker in range(walkers):
-            rng = rngs[walker]
-            rotation, translation = self._initial_state(walker, rng)
-            current = Pose(rotation, translation, self.scorer.score_pose(rotation, translation))
-            candidates.append(current)
-            for _ in range(steps):
-                proposal = self._perturb(current, rng)
-                if self._accept(proposal.score - current.score, rng):
-                    current = proposal
-                    candidates.append(current)
-        return candidates
-
-    def _walk_batch(
-        self, walkers: int, steps: int, rngs: list[np.random.Generator]
-    ) -> list[Pose]:
-        """Advance all walkers in lock-step, scoring each step as one batch.
-
-        Candidates are collected per walker and concatenated walker-major, so
-        the candidate order — and with it every downstream stable sort —
-        matches the scalar path exactly.
-        """
-        states = [self._initial_state(walker, rngs[walker]) for walker in range(walkers)]
-        scores = self._score_states(states)
-        current = [
-            Pose(rotation, translation, float(score))
-            for (rotation, translation), score in zip(states, scores)
-        ]
-        per_walker: list[list[Pose]] = [[pose] for pose in current]
-        for _ in range(steps):
-            proposals = [
-                self._proposal_state(current[walker], rngs[walker])
-                for walker in range(walkers)
-            ]
-            scores = self._score_states(proposals)
-            for walker in range(walkers):
-                rotation, translation = proposals[walker]
-                proposal = Pose(rotation, translation, float(scores[walker]))
-                if self._accept(proposal.score - current[walker].score, rngs[walker]):
-                    current[walker] = proposal
-                    per_walker[walker].append(proposal)
-        return [pose for walker_poses in per_walker for pose in walker_poses]
-
     # -- search ------------------------------------------------------------------
+
+    def search_coroutine(
+        self,
+        steps: int,
+        rng: np.random.Generator,
+        num_poses: int = 10,
+        restarts: int = 3,
+        refine_steps: int = 25,
+    ) -> Generator[np.ndarray, np.ndarray, list[Pose]]:
+        """The search as a scoring coroutine (see the module docstring).
+
+        Poses are deduplicated on their translation (two poses closer than
+        1.0 Å are considered the same binding mode and only the better one is
+        kept), mirroring how Vina clusters its output modes.
+        """
+        if steps <= 0:
+            raise DockingError(f"steps must be positive, got {steps}")
+        walkers = max(restarts, len(self.initial_rotations) + 1)
+        rngs = walker_rngs(rng, walkers)
+        transformed = self.scorer.ligand.transformed
+
+        # Metropolis walk: one request per step holds every walker's state.
+        states = [self._initial_state(walker, rngs[walker]) for walker in range(walkers)]
+        scores = yield np.stack([transformed(r, t) for r, t in states])
+        current = [Pose(r, t, float(score)) for (r, t), score in zip(states, scores)]
+        per_walker = [[pose] for pose in current]
+        for _ in range(max(1, steps // walkers)):
+            states = [self._proposal_state(current[w], rngs[w]) for w in range(walkers)]
+            scores = yield np.stack([transformed(r, t) for r, t in states])
+            for walker, ((r, t), score) in enumerate(zip(states, scores)):
+                # Metropolis test: a uniform is drawn only for uphill moves.
+                delta = float(score) - current[walker].score
+                if delta <= 0 or rngs[walker].random() < np.exp(-delta / self.temperature):
+                    current[walker] = Pose(r, t, float(score))
+                    per_walker[walker].append(current[walker])
+
+        # Keep the best candidates (walker-major order, stable sort),
+        # deduplicated by binding mode, each polished by greedy refinement
+        # with a shrinking step on the caller's generator.
+        candidates = sorted((p for poses in per_walker for p in poses), key=lambda p: p.score)
+        selected: list[Pose] = []
+        for pose in candidates:
+            if len(selected) >= num_poses:
+                break
+            if all(np.linalg.norm(pose.translation - kept.translation) > 1.0 for kept in selected):
+                best = pose
+                for i in range(max(0, refine_steps)):
+                    r, t = self._proposal_state(best, rng, scale=0.5 / (1.0 + i))
+                    (score,) = yield transformed(r, t)[None]
+                    if score < best.score:
+                        best = Pose(r, t, float(score))
+                selected.append(best)
+        if not selected:
+            raise DockingError("pose search produced no candidates")
+        selected.sort(key=lambda p: p.score)
+        return selected
 
     def search(
         self,
@@ -199,45 +230,8 @@ class MonteCarloPoseSearch:
     ) -> list[Pose]:
         """Run the search and return the best ``num_poses`` distinct poses.
 
-        Poses are deduplicated on their translation (two poses closer than
-        1.0 Å are considered the same binding mode and only the better one is
-        kept), mirroring how Vina clusters its output modes.  ``batch``
-        selects lock-step batched walker advancement; it changes wall time
-        only, never the returned poses.
+        ``batch`` scores each request in one batched call instead of one
+        call per pose; it changes wall time only, never the returned poses.
         """
-        if steps <= 0:
-            raise DockingError(f"steps must be positive, got {steps}")
-        restarts = max(restarts, len(self.initial_rotations) + 1)
-        walkers = max(1, restarts)
-        steps_per_restart = max(1, steps // walkers)
-        rngs = walker_rngs(rng, walkers)
-
-        if batch and walkers > 1:
-            candidates = self._walk_batch(walkers, steps_per_restart, rngs)
-        else:
-            candidates = self._walk_scalar(walkers, steps_per_restart, rngs)
-
-        # Keep the best candidates, deduplicated by binding mode.  Selection
-        # and refinement consume the caller's generator (walker 0's stream)
-        # sequentially in both modes.
-        candidates.sort(key=lambda p: p.score)
-        selected: list[Pose] = []
-        for pose in candidates:
-            if len(selected) >= num_poses:
-                break
-            if all(np.linalg.norm(pose.translation - kept.translation) > 1.0 for kept in selected):
-                selected.append(self._refine(pose, rng, refine_steps))
-        if not selected:
-            raise DockingError("pose search produced no candidates")
-        selected.sort(key=lambda p: p.score)
-        return selected
-
-    def _refine(self, pose: Pose, rng: np.random.Generator, steps: int) -> Pose:
-        """Greedy local refinement with shrinking step size."""
-        best = pose
-        for i in range(max(0, steps)):
-            scale = 0.5 / (1.0 + i)
-            trial = self._perturb(best, rng, scale=scale)
-            if trial.score < best.score:
-                best = trial
-        return best
+        coroutine = self.search_coroutine(steps, rng, num_poses, restarts, refine_steps)
+        return run_lockstep([coroutine], self.scorer, batch)[0]

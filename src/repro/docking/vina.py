@@ -24,6 +24,7 @@ replays docking results without a single Monte-Carlo step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Generator
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from repro.config import PipelineConfig
 from repro.docking.ligand import Ligand
 from repro.docking.pocket import find_pockets
 from repro.docking.scoring import ScoringWeights, VinaScoringFunction
-from repro.docking.search import MonteCarloPoseSearch, Pose
+from repro.docking.search import MonteCarloPoseSearch, Pose, run_lockstep
 from repro.exceptions import DockingError
 from repro.utils.rng import child_seed, rng_for
 
@@ -276,25 +277,29 @@ class DockingEngine:
     def dock_prepared(
         self, prepared: PreparedDock, receptor_id: str, ligand_name: str | None = None
     ) -> DockingResult:
-        """Run every seed against an already-prepared docking task."""
-        result = DockingResult(
+        """Run every seed against an already-prepared docking task.
+
+        With ``batch`` the seeds advance in lock-step, each round one batched
+        scoring call; without it they run one by one, one call per pose.
+        """
+        seeds = [self._seed_run(prepared, receptor_id, i) for i in range(self.num_seeds)]
+        return DockingResult(
             receptor_id=receptor_id,
             ligand_name=ligand_name if ligand_name is not None else prepared.ligand.name,
+            runs=run_lockstep(seeds, prepared.scorer, self.batch),
         )
-        for i in range(self.num_seeds):
-            seed = child_seed(self.master_seed, "docking", receptor_id, i)
-            rng = rng_for(seed, "run")
-            poses: list[Pose] = []
-            for search in prepared.searches:
-                poses.extend(
-                    search.search(
-                        prepared.steps_per_site, rng, num_poses=self.num_poses, batch=self.batch
-                    )
-                )
-            poses.sort(key=lambda p: p.score)
-            run = self._build_run(seed, poses[: self.num_poses], prepared.ligand)
-            result.runs.append(run)
-        return result
+
+    def _seed_run(
+        self, prepared: PreparedDock, receptor_id: str, index: int
+    ) -> Generator[np.ndarray, np.ndarray, DockingRun]:
+        """One seed's run as a scoring coroutine: every site in order, on one RNG."""
+        seed = child_seed(self.master_seed, "docking", receptor_id, index)
+        rng = rng_for(seed, "run")
+        poses: list[Pose] = []
+        for search in prepared.searches:
+            poses += yield from search.search_coroutine(prepared.steps_per_site, rng, self.num_poses)
+        poses.sort(key=lambda p: p.score)
+        return self._build_run(seed, poses[: self.num_poses], prepared.ligand)
 
     def _build_run(self, seed: int, poses: list[Pose], ligand: Ligand) -> DockingRun:
         best_coords = poses[0].coordinates(ligand)

@@ -69,11 +69,16 @@ class CobylaOptimizer:
                 best_x = np.array(x, dtype=float)
             return value
 
+        x0 = np.asarray(x0, dtype=float)
+        # COBYLA needs num_vars + 2 evaluations for its initial simplex and
+        # raises a smaller budget to that itself (with a warning), so the
+        # clamp runs exactly the budget scipy would.
+        maxiter = max(self.max_iterations, x0.size + 2)
         result = minimize(
             wrapped,
-            np.asarray(x0, dtype=float),
+            x0,
             method="COBYLA",
-            options={"maxiter": self.max_iterations, "rhobeg": self.rhobeg, "tol": self.tol},
+            options={"maxiter": maxiter, "rhobeg": self.rhobeg, "tol": self.tol},
         )
         # Prefer the best point seen over scipy's final iterate: with a noisy
         # (shot-sampled) objective the last iterate is not necessarily best.

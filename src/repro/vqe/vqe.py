@@ -77,10 +77,7 @@ class VQE:
         )
         self.ansatz = EfficientSU2(width, reps=self.config.ansatz_reps, entanglement="linear")
         if self.optimizer is None:
-            # COBYLA needs at least num_vars + 2 evaluations to build its
-            # initial simplex; never hand it fewer.
-            iterations = max(self.config.vqe_iterations, self.ansatz.num_parameters + 2)
-            self.optimizer = CobylaOptimizer(max_iterations=iterations)
+            self.optimizer = CobylaOptimizer(max_iterations=self.config.vqe_iterations)
 
     # -- shot budgets -------------------------------------------------------------
 

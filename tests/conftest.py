@@ -2,13 +2,9 @@
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 from repro.config import PipelineConfig
-
-warnings.filterwarnings("ignore", message="COBYLA")
 
 
 @pytest.fixture(scope="session")

@@ -64,6 +64,17 @@ def test_run_suite_lattice_energies_metrics():
     assert derived["lattice.batch_speedup"] > 1.0
 
 
+def test_run_suite_docking_search_metrics():
+    results, derived = run_suite(smoke=True, repeats=1, only="docking-search")
+    assert set(results) == {
+        "docking.searches_per_sec",
+        "docking.searches_per_sec.sequential",
+    }
+    for metric, entry in results.items():
+        assert entry["unit"] == METRIC_UNITS[metric] == "searches/s"
+    assert derived["docking.lockstep_speedup"] > 1.0
+
+
 def test_run_suite_unknown_filter_raises():
     with pytest.raises(ReproError):
         run_suite(smoke=True, repeats=1, only="no-such-benchmark")

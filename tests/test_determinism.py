@@ -15,6 +15,8 @@ One mixed fold / baseline-fold / dock batch — including an in-batch duplicate
   plus a warm rerun executing zero jobs — and on a heterogeneous
   capability-tagged fleet (one fold-only worker, one generalist) versus the
   homogeneous fleet,
+* with docking at the paper's 20 seeds advanced in lock-step versus one
+  seed at a time,
 * over a socket against a live ``repro-serve`` daemon (the ``network``
   transport) — cold, warm through the server's shared cache, with the
   client disconnecting mid-batch and resuming, and with the *server* killed
@@ -386,6 +388,21 @@ def test_fast_path_toggles_are_bit_identical_to_serial(reference_run, updates):
     same batch with either disabled reproduces the reference bit-for-bit."""
     engine = Engine(config=CONFIG.with_updates(**updates), processes=0)
     assert _canonical(engine.run(_mixed_jobs(engine))) == reference_run
+
+
+def test_paper_seed_count_lockstep_docking_is_bit_identical_to_sequential():
+    """At the paper's 20 docking seeds, lock-step seeds scored in shared
+    batches reproduce the one-seed-at-a-time, one-pose-per-call path."""
+    config = CONFIG.with_updates(docking_seeds=20, docking_mc_steps=15)
+    reference = ReferenceStructureGenerator(master_seed=config.seed).generate("3eax", "RYRDV")
+    ligand = SyntheticLigandGenerator(master_seed=config.seed).generate(reference)
+    runs = []
+    for batch in (True, False):
+        engine = Engine(config=config.with_updates(docking_batch=batch), processes=0)
+        spec = engine.dock_spec("3eax", reference.structure, ligand, receptor_id="3eax:QDock")
+        runs.append(_canonical(engine.run([spec])))
+    assert runs[0] == runs[1]
+    assert json.loads(runs[0][0])["docking"]["num_runs"] == 20
 
 
 def test_cache_topology_flat_vs_tiered_is_bit_identical(reference_run, tmp_path):

@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.bio.geometry import random_rotation
+from repro.bio.geometry import random_rotation, rotation_matrix
 from repro.bio.reference import ReferenceStructureGenerator
 from repro.docking.ligand import Ligand, SyntheticLigandGenerator
 from repro.docking.pocket import find_pocket, find_pockets
 from repro.docking.scoring import CUTOFF, ScoringWeights, VinaScoringFunction
-from repro.docking.search import MonteCarloPoseSearch, walker_rngs
-from repro.docking.vina import DockingEngine, pose_rmsd_lower, pose_rmsd_upper
+from repro.docking.search import MonteCarloPoseSearch, Pose, walker_rngs
+from repro.docking.vina import DockingEngine, DockingResult, pose_rmsd_lower, pose_rmsd_upper
 from repro.exceptions import DockingError
+from repro.utils.rng import child_seed, rng_for
 
 
 @pytest.fixture(scope="module")
@@ -293,3 +294,171 @@ def test_prepared_dock_replays_identically(reference_record, ligand):
     replay2 = engine.dock_prepared(prepared, "3eax:REF")
     assert replay1.as_dict() == direct.as_dict()
     assert replay2.as_dict() == direct.as_dict()
+
+
+# -- lock-step seeds vs the sequential oracle ------------------------------------------
+
+
+def _oracle_search(search, steps, rng, num_poses, restarts=3, refine_steps=25):
+    """The sequential pose search, frozen: walkers one at a time, then greedy
+    refinement of each deduplicated candidate, every pose its own ``score_pose``."""
+    walkers = max(1, max(restarts, len(search.initial_rotations) + 1))
+    rngs = walker_rngs(rng, walkers)
+
+    def perturb(pose, rng, scale=1.0):
+        axis = rng.normal(size=3)
+        angle = rng.normal(scale=search.rotation_step * scale)
+        rotation = rotation_matrix(axis, angle) @ pose.rotation
+        translation = pose.translation + rng.normal(scale=search.translation_step * scale, size=3)
+        return Pose(rotation, translation, search.scorer.score_pose(rotation, translation))
+
+    candidates = []
+    for walker in range(walkers):
+        walker_rng = rngs[walker]
+        if walker < len(search.initial_rotations):
+            rotation = search.initial_rotations[walker]
+            offset = walker_rng.normal(scale=0.5, size=3)
+        else:
+            rotation = random_rotation(walker_rng)
+            offset = walker_rng.normal(scale=search.site_radius / 2.0, size=3)
+        translation = search.site_center + offset
+        current = Pose(rotation, translation, search.scorer.score_pose(rotation, translation))
+        candidates.append(current)
+        for _ in range(max(1, steps // walkers)):
+            proposal = perturb(current, walker_rng)
+            delta = proposal.score - current.score
+            if delta <= 0 or walker_rng.random() < np.exp(-delta / search.temperature):
+                current = proposal
+                candidates.append(current)
+    candidates.sort(key=lambda p: p.score)
+    selected = []
+    for pose in candidates:
+        if len(selected) >= num_poses:
+            break
+        if all(np.linalg.norm(pose.translation - kept.translation) > 1.0 for kept in selected):
+            best = pose
+            for i in range(refine_steps):
+                trial = perturb(best, rng, scale=0.5 / (1.0 + i))
+                if trial.score < best.score:
+                    best = trial
+            selected.append(best)
+    selected.sort(key=lambda p: p.score)
+    return selected
+
+
+def _oracle_dock(engine, prepared, receptor_id):
+    """The sequential multi-seed loop, frozen: ``{seed: top poses}``."""
+    runs = {}
+    for i in range(engine.num_seeds):
+        seed = child_seed(engine.master_seed, "docking", receptor_id, i)
+        rng = rng_for(seed, "run")
+        poses = []
+        for search in prepared.searches:
+            poses.extend(_oracle_search(search, prepared.steps_per_site, rng, engine.num_poses))
+        poses.sort(key=lambda p: p.score)
+        runs[seed] = poses[: engine.num_poses]
+    return runs
+
+
+@pytest.fixture(scope="module")
+def receptors(reference_record, ligand):
+    other = ReferenceStructureGenerator().generate("3ckz", "VKDRS", start_seq_id=149)
+    return {
+        "3eax": (reference_record, ligand),
+        "3ckz": (other, SyntheticLigandGenerator().generate(other)),
+    }
+
+
+@pytest.mark.parametrize("batch", [True, False], ids=["lockstep", "sequential"])
+@pytest.mark.parametrize("pdb_id", ["3eax", "3ckz"])
+@pytest.mark.parametrize(
+    "num_seeds, num_poses, mc_steps",
+    [(1, 3, 30), (2, 3, 30), (4, 3, 45), (20, 2, 30), (4, 10, 30)],
+    ids=["1-seed", "2-seeds", "4-seeds", "20-seeds", "dedup-short"],
+)
+def test_docking_matches_sequential_oracle(receptors, pdb_id, batch, num_seeds, num_poses, mc_steps):
+    record, lig = receptors[pdb_id]
+    receptor_id = f"{pdb_id}:ORACLE"
+    engine = DockingEngine(num_seeds=num_seeds, num_poses=num_poses, mc_steps=mc_steps, batch=batch)
+    prepared = engine.prepare(record.structure, lig)
+    expected = _oracle_dock(engine, prepared, receptor_id)
+
+    captured = {}
+    build_run = engine._build_run
+
+    def capture(seed, poses, ligand):
+        captured[seed] = poses
+        return build_run(seed, poses, ligand)
+
+    engine._build_run = capture
+    result = engine.dock_prepared(prepared, receptor_id, ligand_name=lig.name)
+    engine._build_run = build_run
+    reference = DockingResult(
+        receptor_id=receptor_id,
+        ligand_name=lig.name,
+        runs=[engine._build_run(seed, poses, prepared.ligand) for seed, poses in expected.items()],
+    )
+    assert result.as_dict() == reference.as_dict()
+    assert captured.keys() == expected.keys()
+    for seed, poses in expected.items():
+        assert len(captured[seed]) == len(poses)
+        for got, want in zip(captured[seed], poses):
+            assert got.score == want.score
+            assert np.array_equal(got.rotation, want.rotation)
+            assert np.array_equal(got.translation, want.translation)
+
+
+def _counted(coroutine, counts, index):
+    """Forward a scoring coroutine, counting the requests it makes."""
+    request = next(coroutine)
+    while True:
+        counts[index] += 1
+        try:
+            request = coroutine.send((yield request))
+        except StopIteration as stop:
+            return stop.value
+
+
+def test_lockstep_makes_one_scoring_call_per_round(reference_record, ligand, monkeypatch):
+    # Few candidates and a large pose budget: dedup keeps a per-seed number
+    # of poses, so seeds make different numbers of requests.
+    engine = DockingEngine(num_seeds=6, num_poses=10, mc_steps=30)
+    prepared = engine.prepare(reference_record.structure, ligand)
+    requests = [0] * engine.num_seeds
+    seed_run = engine._seed_run
+    monkeypatch.setattr(
+        engine, "_seed_run", lambda p, r, i: _counted(seed_run(p, r, i), requests, i)
+    )
+    calls = []
+    score_batch = prepared.scorer.score_coords_batch
+    monkeypatch.setattr(
+        prepared.scorer, "score_coords_batch", lambda coords: calls.append(len(coords)) or score_batch(coords)
+    )
+    monkeypatch.setattr(prepared.scorer, "score_coords", lambda coords: pytest.fail("per-pose call"))
+    engine.dock_prepared(prepared, "3eax:REF")
+    assert len(set(requests)) > 1  # seeds finish in different rounds
+    assert len(calls) == max(requests)
+    # Every round batches the requests of the seeds still running.
+    assert calls[0] > calls[-1]
+
+
+def test_lockstep_seed_error_propagates_and_closes_the_other_seeds(reference_record, ligand):
+    closed = []
+
+    class FailingEngine(DockingEngine):
+        def _seed_run(self, prepared, receptor_id, index):
+            try:
+                yield prepared.ligand.coords[None]
+                if index == 2:
+                    raise DockingError(f"seed {index} failed")
+                yield prepared.ligand.coords[None]
+                yield prepared.ligand.coords[None]
+            except GeneratorExit:
+                closed.append(index)
+                raise
+
+    engine = FailingEngine(num_seeds=4, num_poses=2, mc_steps=30)
+    prepared = engine.prepare(reference_record.structure, ligand)
+    with pytest.raises(DockingError, match="seed 2 failed"):
+        engine.dock_prepared(prepared, "3eax:REF")
+    assert sorted(closed) == [0, 1, 3]

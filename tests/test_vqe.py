@@ -1,10 +1,13 @@
 """Tests for the VQE framework: expectation estimation, optimisers, the two-stage driver."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.config import PipelineConfig
 from repro.exceptions import VQEError
+from repro.folding.predictor import fold_fragment
 from repro.lattice.hamiltonian import LatticeHamiltonian
 from repro.lattice.classical import ClassicalFoldingSolver
 from repro.vqe.expectation import DiagonalExpectation
@@ -66,6 +69,24 @@ def test_cobyla_minimises_quadratic():
     assert result.optimal_value < 0.05
     assert result.iterations > 0
     assert result.lowest_value <= result.highest_value
+
+
+def test_cobyla_clamps_its_budget_to_the_initial_simplex():
+    # A budget below num_vars + 2 is raised by the optimiser itself, so scipy
+    # has nothing to correct and nothing to warn about.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = CobylaOptimizer(max_iterations=3).minimize(lambda x: float(np.sum(x**2)), np.ones(6))
+    assert result.iterations > 3
+
+
+def test_fold_fragment_fast_preset_emits_no_warning():
+    # 1ppi's ansatz has more parameters than the fast preset's 30 iterations.
+    config = PipelineConfig.fast()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prediction, _ = fold_fragment("1ppi", "PWWERYQP", config=config)
+    assert prediction.metadata["iterations"] > config.vqe_iterations
 
 
 def test_spsa_minimises_quadratic():
