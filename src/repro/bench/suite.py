@@ -10,6 +10,10 @@ metric as median/p10/p90.  The suite covers the engine's hot paths:
   rebuild (bind + simulate from scratch);
 * ``quantum.statevector_gates_per_sec.{run,compiled}`` — raw gate throughput
   of the statevector simulator vs a compiled plan replay;
+* ``quantum.mps_objective_evals_per_sec`` and
+  ``quantum.mps_final_samples_per_sec`` — the L-group folds' MPS path: CVaR
+  objective evaluations of a 22-qubit ansatz at 192 shots, and shots per
+  second of a 49,152-shot stage-2 sample aggregated into counts;
 * ``docking.poses_scored_per_sec.{batch,scalar}`` — Vina scoring throughput,
   one ``score_coords_batch`` call vs a per-pose ``score_coords`` loop (the
   batch self-checks bit-identity against the scalar scores);
@@ -62,7 +66,7 @@ from repro.docking.vina import DockingEngine
 from repro.exceptions import ReproError
 from repro.lattice.hamiltonian import LatticeHamiltonian
 from repro.quantum.ansatz import EfficientSU2
-from repro.quantum.backend import StatevectorBackend
+from repro.quantum.backend import MPSBackend, StatevectorBackend, counts_from_samples
 from repro.quantum.statevector import StatevectorSimulator
 from repro.utils.rng import rng_for
 from repro.vqe.expectation import DiagonalExpectation
@@ -242,6 +246,37 @@ def bench_statevector(config: PipelineConfig, smoke: bool) -> dict[str, float]:
     }
 
 
+def bench_mps_sampling(config: PipelineConfig, smoke: bool) -> dict[str, float]:
+    """The MPS backend on an L-group-sized fold: objective evals and stage-2 shots per second."""
+    hamiltonian = LatticeHamiltonian(_LATTICE_BENCH_SEQUENCE)
+    width = hamiltonian.encoding.configuration_qubits  # 22, past max_statevector_qubits (16)
+    ansatz = EfficientSU2(width, reps=config.ansatz_reps)
+    backend = MPSBackend(max_bond_dimension=config.mps_bond_dimension)
+    expectation = DiagonalExpectation(hamiltonian)
+    rng_params = rng_for(config.seed, "bench-mps-params")
+    points = [
+        rng_params.normal(scale=0.4, size=ansatz.num_parameters)
+        for _ in range(10 if smoke else 40)
+    ]
+    rng = rng_for(config.seed, "bench-mps-sample")
+    start = time.perf_counter()
+    for values in points:
+        samples = backend.sample_parameterised(ansatz.circuit, values, 192, rng)
+        expectation.cvar_from_samples(samples, alpha=config.cvar_alpha)
+    elapsed_evals = time.perf_counter() - start
+    # The stage-2 shot count of a 14-residue fold under the fast preset.
+    shots, loops = 49_152, 1 if smoke else 3
+
+    def final_sample():
+        counts_from_samples(backend.sample_parameterised(ansatz.circuit, points[0], shots, rng))
+
+    elapsed_final = _timed(final_sample, loops)
+    return {
+        "quantum.mps_objective_evals_per_sec": len(points) / elapsed_evals,
+        "quantum.mps_final_samples_per_sec": shots * loops / elapsed_final,
+    }
+
+
 def _dataset_bench_config(config: PipelineConfig, smoke: bool) -> PipelineConfig:
     iterations = 6 if smoke else 12
     return config.with_updates(
@@ -390,6 +425,8 @@ METRIC_UNITS: dict[str, str] = {
     "vqe.objective_evals_per_sec.rebuild": "evals/s",
     "quantum.statevector_gates_per_sec.run": "gates/s",
     "quantum.statevector_gates_per_sec.compiled": "gates/s",
+    "quantum.mps_objective_evals_per_sec": "evals/s",
+    "quantum.mps_final_samples_per_sec": "samples/s",
     "docking.poses_scored_per_sec.batch": "poses/s",
     "docking.poses_scored_per_sec.scalar": "poses/s",
     "lattice.conformations_scored_per_sec.batch": "conformations/s",
@@ -414,6 +451,7 @@ BENCHMARKS: tuple[tuple[str, object], ...] = (
     ("statevector", bench_statevector),
     ("lattice-energies", bench_lattice_energies),
     ("vqe-objective", bench_vqe_objective),
+    ("mps-sampling", bench_mps_sampling),
     ("docking-search", bench_docking_search),
     ("cache-remote", bench_cache_remote),
     ("dataset-build", bench_dataset_build),

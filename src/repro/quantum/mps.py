@@ -14,7 +14,22 @@ Implementation notes
   to the configured maximum bond dimension.
 * Sampling uses exact right environments plus a *vectorised* left-to-right
   conditional sweep: all shots advance through the chain simultaneously, so
-  the inner loop is O(n_sites) einsum calls regardless of the shot count.
+  the inner loop is O(n_sites) matrix products regardless of the shot count.
+* Every contraction is reshapes plus ``@`` on contiguous operands.  The
+  operands are small (bond dimension 2 to 16), so what a contraction costs is
+  its per-call overhead, and a general contraction routine that plans its
+  path on every call is several times slower here than a direct product.
+
+Contract
+--------
+Amplitudes and site tensors are reproducible only up to floating-point
+summation order and the SVD gauge, so they are not what results depend on.
+What is fixed is the *sampled bitstrings*: one ``rng.random(shots)`` draw per
+site in site order, compared ``< prob1`` against the conditional probability
+of a 1, with the same clipping, zero-total handling and SVD truncation rule.
+Every fold result is a function of those bitstrings, and the test suite
+checks them ``==`` against a frozen copy of the index-notation formulas
+this module used to run.
 """
 
 from __future__ import annotations
@@ -24,6 +39,17 @@ import numpy as np
 from repro.exceptions import BackendError
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.gates import gate_matrix
+
+
+def _row_quadratic_forms(w: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``Re(w[s] @ r @ w[s].conj())`` for every row ``s`` of ``w``.
+
+    Over the float views, the real part of ``(w r) * conj(w)`` summed along a
+    row is a plain elementwise product summed along the row.
+    """
+    weighted = (w @ r).view(np.float64)
+    weighted *= w.view(np.float64)
+    return weighted @ np.ones(weighted.shape[1])
 
 
 class MPSState:
@@ -47,8 +73,7 @@ class MPSState:
 
     def apply_single(self, matrix: np.ndarray, qubit: int) -> None:
         """Apply a 2x2 unitary to one site."""
-        a = self.tensors[qubit]
-        self.tensors[qubit] = np.einsum("ij,ajb->aib", matrix, a, optimize=True)
+        self.tensors[qubit] = matrix @ self.tensors[qubit]
 
     def apply_two(self, matrix: np.ndarray, q0: int, q1: int) -> None:
         """Apply a 4x4 unitary to two *adjacent* sites (q1 == q0 + 1 or q0 == q1 + 1)."""
@@ -57,18 +82,19 @@ class MPSState:
                 f"MPS backend only supports nearest-neighbour two-qubit gates, got ({q0}, {q1})"
             )
         left, right = (q0, q1) if q0 < q1 else (q1, q0)
-        gate = matrix.reshape(2, 2, 2, 2)
+        gate = matrix
         if q0 > q1:
             # The gate was specified with (control, target) = (q0, q1); swap its
             # qubit legs so that leg order matches (left, right).
-            gate = gate.transpose(1, 0, 3, 2)
+            gate = matrix.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
 
         a, b = self.tensors[left], self.tensors[right]
         chi_l, _, chi_m = a.shape
         _, _, chi_r = b.shape
-        theta = np.einsum("aib,bjc->aijc", a, b, optimize=True)
-        theta = np.einsum("klij,aijc->aklc", gate, theta, optimize=True)
-        theta = theta.reshape(chi_l * 2, 2 * chi_r)
+        # theta[a, (i j), c] = sum_b A[a, i, b] B[b, j, c]; the gate then acts
+        # on the (i j) leg of every left-bond slice.
+        theta = (a.reshape(chi_l * 2, chi_m) @ b.reshape(chi_m, 2 * chi_r)).reshape(chi_l, 4, chi_r)
+        theta = (gate @ theta).reshape(chi_l * 2, 2 * chi_r)
 
         u, s, vh = np.linalg.svd(theta, full_matrices=False)
         keep = min(self.max_bond_dimension, int(np.count_nonzero(s > 1e-14)) or 1)
@@ -87,7 +113,10 @@ class MPSState:
         env = np.array([[1.0 + 0j]])
         for k in range(self.num_qubits - 1, -1, -1):
             a = self.tensors[k]
-            env = np.einsum("aib,bc,dic->ad", a, env, a.conj(), optimize=True)
+            chi_l, _, chi_r = a.shape
+            # R[k][a, d] = sum_{i, b, c} A[a, i, b] R[k+1][b, c] conj(A[d, i, c])
+            left = (a.reshape(chi_l * 2, chi_r) @ env).reshape(chi_l, 2 * chi_r)
+            env = left @ a.reshape(chi_l, 2 * chi_r).conj().T
             envs[k] = env
         return envs
 
@@ -109,7 +138,9 @@ class MPSState:
     def sample(self, shots: int, rng: np.random.Generator) -> np.ndarray:
         """Sample ``shots`` bitstrings; returns (shots, n) uint8 array.
 
-        All shots advance together; the per-site cost is two einsum calls.
+        All shots advance together; the per-site cost is six matrix products,
+        whatever the shot count.  The chosen branch overwrites the other in
+        place, so no third (shots, chi) array is allocated per site.
         """
         if shots <= 0:
             raise BackendError(f"shots must be positive, got {shots}")
@@ -120,19 +151,18 @@ class MPSState:
         for k in range(n):
             a = self.tensors[k]
             r = envs[k + 1]
-            # w[b] has shape (shots, chi_right)
-            w0 = vec @ a[:, 0, :]
-            w1 = vec @ a[:, 1, :]
-            p0 = np.einsum("sc,cd,sd->s", w0, r, w0.conj(), optimize=True).real
-            p1 = np.einsum("sc,cd,sd->s", w1, r, w1.conj(), optimize=True).real
-            p0 = np.clip(p0, 0.0, None)
-            p1 = np.clip(p1, 0.0, None)
+            # w[b] = vec @ A[:, b, :], shape (shots, chi_right); p[b] = Re(w R w^dagger)
+            w0 = vec @ np.ascontiguousarray(a[:, 0, :])
+            w1 = vec @ np.ascontiguousarray(a[:, 1, :])
+            p0 = np.clip(_row_quadratic_forms(w0, r), 0.0, None)
+            p1 = np.clip(_row_quadratic_forms(w1, r), 0.0, None)
             total = p0 + p1
             total[total <= 0] = 1.0
             prob1 = p1 / total
-            draws = (rng.random(shots) < prob1).astype(np.uint8)
+            draws = rng.random(shots) < prob1
             samples[:, k] = draws
-            vec = np.where(draws[:, None].astype(bool), w1, w0)
+            w0[draws] = w1[draws]
+            vec = w0
         return samples
 
 

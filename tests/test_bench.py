@@ -75,17 +75,31 @@ def test_run_suite_docking_search_metrics():
     assert derived["docking.lockstep_speedup"] > 1.0
 
 
+def test_run_suite_mps_sampling_metrics():
+    results, derived = run_suite(smoke=True, repeats=1, only="mps-sampling")
+    assert set(results) == {
+        "quantum.mps_objective_evals_per_sec",
+        "quantum.mps_final_samples_per_sec",
+    }
+    assert METRIC_UNITS["quantum.mps_objective_evals_per_sec"] == "evals/s"
+    assert METRIC_UNITS["quantum.mps_final_samples_per_sec"] == "samples/s"
+    for metric, entry in results.items():
+        assert entry["unit"] == METRIC_UNITS[metric]
+        assert entry["median"] > 0
+    assert derived == {}  # no second MPS path, so no ratio to derive
+
+
 def test_run_suite_unknown_filter_raises():
     with pytest.raises(ReproError):
         run_suite(smoke=True, repeats=1, only="no-such-benchmark")
 
 
 def test_every_benchmark_has_units_registered():
-    assert len(BENCHMARKS) == 8
+    assert len(BENCHMARKS) == 9
     names = {name for name, _fn in BENCHMARKS}
     assert names == {
         "docking-scoring", "statevector", "lattice-energies", "vqe-objective",
-        "docking-search", "cache-remote", "dataset-build",
+        "mps-sampling", "docking-search", "cache-remote", "dataset-build",
         "transport-overhead",
     }
     # derived_metrics only emits ratios whose inputs exist.

@@ -17,6 +17,8 @@ One mixed fold / baseline-fold / dock batch — including an in-batch duplicate
   homogeneous fleet,
 * with docking at the paper's 20 seeds advanced in lock-step versus one
   seed at a time,
+* an L-group fold wide enough for the MPS backend, with the simulator's
+  matmul kernels versus its frozen einsum formulas,
 * over a socket against a live ``repro-serve`` daemon (the ``network``
   transport) — cold, warm through the server's shared cache, with the
   client disconnecting mid-batch and resuming, and with the *server* killed
@@ -38,7 +40,9 @@ from repro.bio.reference import ReferenceStructureGenerator
 from repro.config import PipelineConfig
 from repro.docking.ligand import SyntheticLigandGenerator
 from repro.engine import Engine, SessionJournal
+from repro.quantum import mps as mps_module
 from repro.utils.io import _NumpyJSONEncoder
+from test_quantum import EinsumMPSState
 
 CONFIG = PipelineConfig(
     vqe_iterations=5,
@@ -403,6 +407,25 @@ def test_paper_seed_count_lockstep_docking_is_bit_identical_to_sequential():
         runs.append(_canonical(engine.run([spec])))
     assert runs[0] == runs[1]
     assert json.loads(runs[0][0])["docking"]["num_runs"] == 20
+
+
+def test_mps_fold_is_bit_identical_to_einsum_oracle(monkeypatch):
+    """The harness's 5-residue folds stay on the statevector backend.  A
+    13-residue L-group fragment has 20 configuration qubits, past
+    ``max_statevector_qubits``, so ``backend="auto"`` runs every objective
+    evaluation and the stage-2 sample on the MPS simulator; its payload must
+    not depend on whether that simulator contracts by matmul or by einsum."""
+    config = CONFIG.with_updates(optimisation_shots=32, final_shots=16)
+
+    def fold() -> list[str]:
+        engine = Engine(config=config, processes=0)
+        return _canonical(engine.run([engine.spec("1yc4", "ELISNSSDALDKI")]))
+
+    kernels = fold()
+    metadata = json.loads(kernels[0])["metadata"]
+    assert metadata["configuration_qubits"] > config.max_statevector_qubits
+    monkeypatch.setattr(mps_module, "MPSState", EinsumMPSState)
+    assert fold() == kernels
 
 
 def test_cache_topology_flat_vs_tiered_is_bit_identical(reference_run, tmp_path):

@@ -6,10 +6,18 @@ from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import BackendError, CircuitError
 from repro.quantum.ansatz import EfficientSU2
-from repro.quantum.backend import AutoBackend, MPSBackend, StatevectorBackend, counts_from_samples
+from repro.quantum import mps as mps_module
+from repro.quantum.backend import (
+    AutoBackend,
+    MPSBackend,
+    StatevectorBackend,
+    counts_from_samples,
+    samples_to_bitstrings,
+    unique_rows,
+)
 from repro.quantum.circuit import Parameter, QuantumCircuit
 from repro.quantum.gates import GATES, gate_matrix, is_unitary, rx_matrix, ry_matrix, rz_matrix
-from repro.quantum.mps import MPSSimulator
+from repro.quantum.mps import MPSSimulator, MPSState
 from repro.quantum.noise import NoiseModel
 from repro.quantum.statevector import StatevectorSimulator
 
@@ -170,6 +178,152 @@ def test_mps_scales_to_100_qubits():
     assert samples.shape == (32, 102)
 
 
+# -- MPS kernels vs the frozen index-notation oracle ---------------------------------------
+#
+# EinsumMPSState is the MPS simulator's original formulas, frozen: every
+# contraction written as an einsum, exactly as MPSState computed it before its
+# kernels became reshapes and matmuls.  The two differ in summation order (so
+# in the last bits of amplitudes) and possibly in the SVD gauge of the site
+# tensors, which is why site tensors are never compared.  What must agree
+# exactly are the sampled bitstrings under the same seeded generator: every
+# fold result is a function of them.
+
+
+class EinsumMPSState(MPSState):
+    """The einsum formulation of :class:`MPSState` (the oracle)."""
+
+    def apply_single(self, matrix, qubit):
+        a = self.tensors[qubit]
+        self.tensors[qubit] = np.einsum("ij,ajb->aib", matrix, a, optimize=True)
+
+    def apply_two(self, matrix, q0, q1):
+        if abs(q0 - q1) != 1:
+            raise BackendError(f"non-adjacent gate ({q0}, {q1})")
+        left, right = (q0, q1) if q0 < q1 else (q1, q0)
+        gate = matrix.reshape(2, 2, 2, 2)
+        if q0 > q1:
+            gate = gate.transpose(1, 0, 3, 2)
+        a, b = self.tensors[left], self.tensors[right]
+        chi_l, _, chi_m = a.shape
+        _, _, chi_r = b.shape
+        theta = np.einsum("aib,bjc->aijc", a, b, optimize=True)
+        theta = np.einsum("klij,aijc->aklc", gate, theta, optimize=True)
+        theta = theta.reshape(chi_l * 2, 2 * chi_r)
+        u, s, vh = np.linalg.svd(theta, full_matrices=False)
+        keep = min(self.max_bond_dimension, int(np.count_nonzero(s > 1e-14)) or 1)
+        if keep < s.size:
+            self.truncation_error += float(np.sum(s[keep:] ** 2))
+        u, s, vh = u[:, :keep], s[:keep], vh[:keep, :]
+        self.tensors[left] = np.ascontiguousarray(u.reshape(chi_l, 2, keep))
+        self.tensors[right] = np.ascontiguousarray((s[:, None] * vh).reshape(keep, 2, chi_r))
+
+    def right_environments(self):
+        envs = [np.array([[1.0 + 0j]])] * (self.num_qubits + 1)
+        env = np.array([[1.0 + 0j]])
+        for k in range(self.num_qubits - 1, -1, -1):
+            a = self.tensors[k]
+            env = np.einsum("aib,bc,dic->ad", a, env, a.conj(), optimize=True)
+            envs[k] = env
+        return envs
+
+    def sample(self, shots, rng):
+        if shots <= 0:
+            raise BackendError(f"shots must be positive, got {shots}")
+        envs = self.right_environments()
+        n = self.num_qubits
+        samples = np.empty((shots, n), dtype=np.uint8)
+        vec = np.ones((shots, 1), dtype=complex)
+        for k in range(n):
+            a = self.tensors[k]
+            r = envs[k + 1]
+            w0 = vec @ a[:, 0, :]
+            w1 = vec @ a[:, 1, :]
+            p0 = np.einsum("sc,cd,sd->s", w0, r, w0.conj(), optimize=True).real
+            p1 = np.einsum("sc,cd,sd->s", w1, r, w1.conj(), optimize=True).real
+            p0 = np.clip(p0, 0.0, None)
+            p1 = np.clip(p1, 0.0, None)
+            total = p0 + p1
+            total[total <= 0] = 1.0
+            prob1 = p1 / total
+            draws = (rng.random(shots) < prob1).astype(np.uint8)
+            samples[:, k] = draws
+            vec = np.where(draws[:, None].astype(bool), w1, w0)
+        return samples
+
+
+def evolve_with(state_class, circuit, max_bond_dimension):
+    """``MPSSimulator.run`` with its state class swapped for ``state_class``."""
+    original = mps_module.MPSState
+    mps_module.MPSState = state_class
+    try:
+        state = MPSSimulator(max_bond_dimension).run(circuit)
+    finally:
+        mps_module.MPSState = original
+    assert type(state) is state_class
+    return state
+
+
+def _su2_circuit(width, reps, seed):
+    ansatz = EfficientSU2(width, reps=reps)
+    values = np.random.default_rng(seed).normal(scale=0.8, size=ansatz.num_parameters)
+    return ansatz.bound(values)
+
+
+def _assert_samples_match_oracle(circuit, max_bond_dimension, shot_counts=(1, 192, 4096)):
+    kernel = evolve_with(MPSState, circuit, max_bond_dimension)
+    oracle = evolve_with(EinsumMPSState, circuit, max_bond_dimension)
+    assert kernel.norm_squared() == pytest.approx(oracle.norm_squared(), abs=1e-12)
+    assert kernel.truncation_error == pytest.approx(oracle.truncation_error, abs=1e-12)
+    for shots in shot_counts:
+        got = kernel.sample(shots, np.random.default_rng(shots))
+        want = oracle.sample(shots, np.random.default_rng(shots))
+        assert np.array_equal(got, want), (circuit.num_qubits, max_bond_dimension, shots)
+
+
+@pytest.mark.parametrize("max_bond_dimension", [8, 2, 1])
+@pytest.mark.parametrize("reps", [0, 1, 2])
+def test_mps_samples_match_einsum_oracle(reps, max_bond_dimension):
+    for width in [*range(1, 31), 60, 102]:
+        circuit = _su2_circuit(width, reps, seed=100 * width + reps)
+        _assert_samples_match_oracle(circuit, max_bond_dimension)
+
+
+@pytest.mark.parametrize("max_bond_dimension", [8, 2])
+def test_mps_amplitudes_match_einsum_oracle(max_bond_dimension):
+    for width in range(1, 13):
+        for reps in (0, 1, 2):
+            circuit = _su2_circuit(width, reps, seed=7 * width + reps)
+            kernel = evolve_with(MPSState, circuit, max_bond_dimension)
+            oracle = evolve_with(EinsumMPSState, circuit, max_bond_dimension)
+            for index in range(2**width):
+                bits = format(index, f"0{width}b")
+                assert abs(kernel.amplitude(bits) - oracle.amplitude(bits)) < 1e-12
+
+
+def test_mps_reversed_cx_matches_einsum_oracle():
+    # CX with control on the right-hand site exercises the leg swap.
+    width = 9
+    rng = np.random.default_rng(3)
+    circuit = QuantumCircuit(width)
+    for layer in range(3):
+        for q in range(width):
+            circuit.ry(float(rng.normal()), q).rz(float(rng.normal()), q)
+        for q in range(width - 1):
+            if (q + layer) % 2:
+                circuit.cx(q + 1, q)
+            else:
+                circuit.cx(q, q + 1)
+    for max_bond_dimension in (8, 2):
+        _assert_samples_match_oracle(circuit, max_bond_dimension)
+    kernel = evolve_with(MPSState, circuit, 16)
+    oracle = evolve_with(EinsumMPSState, circuit, 16)
+    exact = StatevectorSimulator().run(circuit)
+    for index in range(2**width):
+        bits = format(index, f"0{width}b")
+        assert abs(kernel.amplitude(bits) - oracle.amplitude(bits)) < 1e-12
+    assert abs(np.vdot(exact, MPSSimulator(16).statevector(circuit))) ** 2 == pytest.approx(1.0)
+
+
 # -- backends -----------------------------------------------------------------------------
 
 
@@ -177,6 +331,46 @@ def test_counts_from_samples():
     samples = np.array([[0, 1], [0, 1], [1, 0]], dtype=np.uint8)
     counts = counts_from_samples(samples)
     assert counts == {"01": 2, "10": 1}
+
+
+def _row_sort_counts(samples):
+    """The ``np.unique(axis=0)`` aggregation that packed counting replaces."""
+    uniq, counts = np.unique(samples, axis=0, return_counts=True)
+    return [(bits, int(freq)) for bits, freq in zip(samples_to_bitstrings(uniq), counts)]
+
+
+def _distinct_rows(width, count, rng):
+    rows = np.unique(rng.integers(0, 2, size=(4 * count, width), dtype=np.uint8), axis=0)
+    return rows[rng.permutation(len(rows))][:count]
+
+
+@pytest.mark.parametrize("width", [1, 8, 9, 22, 63, 64, 65])
+def test_packed_counts_match_row_sort(width):
+    rng = np.random.default_rng(width)
+    repeated = rng.integers(0, 2, size=(1000, width), dtype=np.uint8)
+    identical = np.repeat(repeated[:1], 500, axis=0)
+    distinct = _distinct_rows(width, 300, rng)
+    mixed = distinct[rng.integers(0, len(distinct), size=2000)]
+    for samples in (repeated, identical, distinct, mixed):
+        counts = counts_from_samples(samples)
+        # Items *and* their order: payloads serialise the dict as it is built.
+        assert list(counts.items()) == _row_sort_counts(samples)
+        uniq, inverse, freq = unique_rows(samples)
+        want_uniq, want_inverse, want_freq = np.unique(
+            samples, axis=0, return_inverse=True, return_counts=True
+        )
+        assert np.array_equal(uniq, want_uniq)
+        assert np.array_equal(inverse, np.ravel(want_inverse))
+        assert np.array_equal(freq, want_freq)
+    assert len(counts_from_samples(identical)) == 1
+    assert len(counts_from_samples(distinct)) == len(distinct)
+
+
+def test_counts_from_samples_edge_shapes():
+    assert counts_from_samples(np.zeros((0, 5), dtype=np.uint8)) == {}
+    assert counts_from_samples(np.zeros((0, 70), dtype=np.uint8)) == {}
+    with pytest.raises(BackendError):
+        counts_from_samples(np.zeros(4, dtype=np.uint8))
 
 
 def test_backends_agree_statistically():
