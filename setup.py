@@ -16,7 +16,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    install_requires=["numpy", "scipy", "networkx"],
+    install_requires=["numpy>=2.0", "scipy", "networkx"],
     entry_points={
         "console_scripts": [
             "repro-cache=repro.cli.cache:main",

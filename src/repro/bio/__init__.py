@@ -19,6 +19,7 @@ from repro.bio.geometry import (
     kabsch_rotation,
     superimpose,
     rotation_matrix,
+    rotation_matrices,
     dihedral_angle,
     angle_between,
     pairwise_distances,
@@ -39,6 +40,7 @@ __all__ = [
     "kabsch_rotation",
     "superimpose",
     "rotation_matrix",
+    "rotation_matrices",
     "dihedral_angle",
     "angle_between",
     "pairwise_distances",

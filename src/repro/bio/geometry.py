@@ -15,22 +15,40 @@ from repro.utils.validation import as_points
 def rotation_matrix(axis: np.ndarray, angle: float) -> np.ndarray:
     """Rotation matrix for a rotation of ``angle`` radians about ``axis``.
 
-    Uses the Rodrigues formula; ``axis`` need not be normalised.
+    Uses the Rodrigues formula; ``axis`` need not be normalised.  This is the
+    one-row case of :func:`rotation_matrices`.
     """
-    axis = np.asarray(axis, dtype=float)
-    norm = np.linalg.norm(axis)
-    if norm == 0:
+    return rotation_matrices(np.asarray(axis, dtype=float)[None], np.array([angle], dtype=float))[0]
+
+
+def rotation_matrices(axes: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """Stacked Rodrigues rotations: ``(N, 3)`` axes and ``(N,)`` angles -> ``(N, 3, 3)``.
+
+    Every element follows the scalar formula's operation order, so row ``i``
+    is bit-identical to rotating about ``axes[i]`` alone.  The axis norm is
+    ``np.vecdot``, which reaches BLAS ``ddot`` like ``np.linalg.norm`` of one
+    3-vector does; ``(axes * axes).sum(-1)`` rounds differently (``ddot``
+    accumulates with FMA).  Raises ``ValueError`` if any axis is zero.
+    """
+    axes = np.asarray(axes, dtype=float)
+    angles = np.asarray(angles, dtype=float)
+    norms = np.sqrt(np.vecdot(axes, axes))
+    if np.any(norms == 0):
         raise ValueError("rotation axis must be non-zero")
-    x, y, z = axis / norm
-    c, s = np.cos(angle), np.sin(angle)
+    x, y, z = (axes / norms[:, None]).T
+    c, s = np.cos(angles), np.sin(angles)
     C = 1.0 - c
-    return np.array(
-        [
-            [x * x * C + c, x * y * C - z * s, x * z * C + y * s],
-            [y * x * C + z * s, y * y * C + c, y * z * C - x * s],
-            [z * x * C - y * s, z * y * C + x * s, z * z * C + c],
-        ]
-    )
+    out = np.empty((len(angles), 3, 3))
+    out[:, 0, 0] = x * x * C + c
+    out[:, 0, 1] = x * y * C - z * s
+    out[:, 0, 2] = x * z * C + y * s
+    out[:, 1, 0] = y * x * C + z * s
+    out[:, 1, 1] = y * y * C + c
+    out[:, 1, 2] = y * z * C - x * s
+    out[:, 2, 0] = z * x * C - y * s
+    out[:, 2, 1] = z * y * C + x * s
+    out[:, 2, 2] = z * z * C + c
+    return out
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

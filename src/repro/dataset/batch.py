@@ -40,15 +40,11 @@ from repro.config import PipelineConfig
 from repro.dataset.entry import MethodEvaluation, QDockBankEntry
 from repro.dataset.fragments import Fragment
 from repro.docking.ligand import Ligand, SyntheticLigandGenerator
-from repro.docking.vina import DockingEngine, DockingResult
+from repro.docking.vina import DockingResult
 from repro.engine.core import Engine
 from repro.engine.session import JobFailure
-from repro.folding.baselines import (
-    BASELINE_PREDICTORS,
-    AF2LikePredictor,
-    AF3LikePredictor,
-)
-from repro.folding.predictor import FoldingPrediction, fold_fragment
+from repro.folding.baselines import BASELINE_PREDICTORS
+from repro.folding.predictor import FoldingPrediction
 from repro.utils.logging import get_logger
 from repro.utils.parallel import ParallelExecutor
 
@@ -57,22 +53,6 @@ logger = get_logger(__name__)
 #: Baseline methods evaluated next to the quantum prediction — derived from
 #: the predictor registry so a newly registered baseline is picked up here.
 BASELINE_METHODS: tuple[str, ...] = tuple(BASELINE_PREDICTORS)
-
-
-@dataclass(frozen=True)
-class FragmentTask:
-    """A picklable unit of work: one fragment plus the pipeline configuration.
-
-    ``quantum`` carries the already-folded quantum prediction when the fold
-    phase ran through the engine; ``None`` makes :func:`build_entry` fold
-    inline (the pre-engine behaviour, kept for direct callers).
-    """
-
-    fragment: Fragment
-    config: PipelineConfig
-    keep_structures: bool = True
-    include_baselines: bool = True
-    quantum: FoldingPrediction | None = None
 
 
 @dataclass(frozen=True)
@@ -121,8 +101,6 @@ def _assemble_entry(
     """Assemble one entry from evaluated ``(prediction, docking)`` pairs.
 
     ``evaluated[0]`` must be the quantum prediction; the rest are baselines.
-    Shared by the inline path (:func:`build_entry`) and the batch pipeline so
-    evaluation and structure-retention rules cannot diverge.
     """
     quantum, _ = evaluated[0]
     entry = QDockBankEntry(
@@ -138,62 +116,6 @@ def _assemble_entry(
         if i > 0 and keep_structures:
             entry.baseline_structures[prediction.method] = prediction.structure
     return entry
-
-
-def build_entry(task: FragmentTask) -> QDockBankEntry:
-    """Build the complete dataset entry for one fragment, inline.
-
-    This is the single-fragment path kept for direct callers and workers; the
-    batch pipeline (:meth:`BatchProcessor.build_entries`) instead streams the
-    expensive pieces through the engine so they dedup and cache.
-    """
-    fragment = task.fragment
-    config = task.config
-
-    reference_generator = ReferenceStructureGenerator(master_seed=config.seed)
-    reference = reference_generator.generate(
-        fragment.pdb_id, fragment.sequence, start_seq_id=fragment.residue_start
-    )
-    ligand = SyntheticLigandGenerator(master_seed=config.seed).generate(reference)
-
-    docking_engine = DockingEngine(
-        num_seeds=config.docking_seeds,
-        num_poses=config.docking_poses,
-        mc_steps=config.docking_mc_steps,
-        master_seed=config.seed,
-    )
-
-    # Quantum prediction (the dataset's primary content) — precomputed by the
-    # engine's fold phase when available.
-    qdock_prediction = task.quantum
-    if qdock_prediction is None:
-        qdock_prediction, _ = fold_fragment(
-            fragment.pdb_id,
-            fragment.sequence,
-            config=config,
-            start_seq_id=fragment.residue_start,
-        )
-    predictions = [qdock_prediction]
-    if task.include_baselines:
-        for predictor in (
-            AF2LikePredictor(reference_generator=reference_generator),
-            AF3LikePredictor(reference_generator=reference_generator),
-        ):
-            predictions.append(
-                predictor.predict(
-                    fragment.pdb_id, fragment.sequence, start_seq_id=fragment.residue_start
-                )
-            )
-    evaluated = [
-        (
-            prediction,
-            docking_engine.dock(
-                prediction.structure, ligand, receptor_id=f"{fragment.pdb_id}:{prediction.method}"
-            ),
-        )
-        for prediction in predictions
-    ]
-    return _assemble_entry(fragment, reference, evaluated, task.keep_structures)
 
 
 class BatchProcessor:

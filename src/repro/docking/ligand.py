@@ -109,8 +109,15 @@ class Ligand:
         )
 
     def transformed(self, rotation: np.ndarray, translation: np.ndarray) -> np.ndarray:
-        """Coordinates after applying a rigid transform (does not mutate the ligand)."""
-        return self.coords @ np.asarray(rotation, dtype=float).T + np.asarray(translation, dtype=float)
+        """Coordinates after applying a rigid transform (does not mutate the ligand).
+
+        A ``(3, 3)`` rotation and ``(3,)`` translation give ``(A, 3)``; stacks
+        of ``N`` of each give ``(N, A, 3)``, every pose bit-identical to
+        transforming it alone.
+        """
+        rotation = np.asarray(rotation, dtype=float)
+        translation = np.asarray(translation, dtype=float)
+        return self.coords @ np.swapaxes(rotation, -1, -2) + translation[..., None, :]
 
 
 class SyntheticLigandGenerator:

@@ -22,6 +22,13 @@ a data-dependent number of values, so site ``k + 1`` cannot start before site
 ``k`` ends.  A score does not depend on which poses share its batch, so
 lock-step driving is bit-identical to the one-seed-at-a-time,
 one-pose-per-call reference path (``batch=False``).
+
+Proposals are built in batches.  A Metropolis step draws each walker's
+seven normals from its own stream, builds every rotation with one
+:func:`~repro.bio.geometry.rotation_matrices` call and places every pose
+with one product; a refinement chain draws and builds all its perturbations
+up front.  The batched formulas keep the per-element operation order, so
+every proposal is bit-identical to building one pose at a time.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from typing import Generator
 
 import numpy as np
 
-from repro.bio.geometry import random_rotation, rotation_matrix
+from repro.bio.geometry import random_rotation, rotation_matrices, rotation_matrix
 from repro.docking.ligand import Ligand
 from repro.docking.scoring import VinaScoringFunction
 from repro.exceptions import DockingError
@@ -61,15 +68,7 @@ def walker_rngs(rng: np.random.Generator, count: int) -> list[np.random.Generato
     """
     if count <= 1:
         return [rng]
-    try:
-        children = rng.spawn(count - 1)
-    except AttributeError:  # older numpy: spawn via the seed sequence directly
-        bit_generator = type(rng.bit_generator)
-        children = [
-            np.random.Generator(bit_generator(seed))
-            for seed in rng.bit_generator.seed_seq.spawn(count - 1)
-        ]
-    return [rng, *children]
+    return [rng, *rng.spawn(count - 1)]
 
 
 def run_lockstep(coroutines: list[Generator], scorer: VinaScoringFunction, batch: bool = True) -> list:
@@ -99,8 +98,10 @@ def run_lockstep(coroutines: list[Generator], scorer: VinaScoringFunction, batch
                     scores = scorer.score_coords_batch(coords)
                 else:
                     scores = np.array([scorer.score_coords(pose) for pose in coords])
-                bounds = np.cumsum([len(request) for request in requests.values()])[:-1]
-                replies = dict(zip(requests, np.split(scores, bounds)))
+                replies, start = {}, 0
+                for index, request in requests.items():
+                    replies[index] = scores[start : start + len(request)]
+                    start += len(request)
     finally:
         for coroutine in coroutines:
             coroutine.close()
@@ -151,15 +152,22 @@ class MonteCarloPoseSearch:
             offset = rng.normal(scale=self.site_radius / 2.0, size=3)
         return rotation, self.site_center + offset
 
-    def _proposal_state(
-        self, pose: Pose, rng: np.random.Generator, scale: float = 1.0
+    def _perturbations(
+        self, normals: np.ndarray, scale: float | np.ndarray = 1.0
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Perturbed (rotation, translation) of one pose (scoring separate)."""
-        axis = rng.normal(size=3)
-        angle = rng.normal(scale=self.rotation_step * scale)
-        rotation = rotation_matrix(axis, angle) @ pose.rotation
-        translation = pose.translation + rng.normal(scale=self.translation_step * scale, size=3)
-        return rotation, translation
+        """Perturbation rotations ``(N, 3, 3)`` and offsets ``(N, 3)``.
+
+        ``normals`` is ``(N, 7)`` standard normals, each row one proposal's
+        draws in stream order: rotation axis (3), angle (1), translation (3).
+        ``scale`` (scalar or ``(N,)``) shrinks the angle and translation
+        steps.  Scaling computes ``0.0 + sigma * z`` exactly as
+        ``rng.normal(scale=sigma)`` does, so the proposals are the ones a
+        draw-per-parameter loop would make.
+        """
+        scale = np.asarray(scale, dtype=float).reshape(-1, 1)
+        angles = 0.0 + (self.rotation_step * scale[:, 0]) * normals[:, 3]
+        offsets = 0.0 + (self.translation_step * scale) * normals[:, 4:]
+        return rotation_matrices(0.0 + normals[:, :3], angles), offsets
 
     # -- search ------------------------------------------------------------------
 
@@ -183,36 +191,56 @@ class MonteCarloPoseSearch:
         rngs = walker_rngs(rng, walkers)
         transformed = self.scorer.ligand.transformed
 
-        # Metropolis walk: one request per step holds every walker's state.
+        # Metropolis walk: one request per step holds every walker's state;
+        # each step's rotations and placements are built in one pass.
         states = [self._initial_state(walker, rngs[walker]) for walker in range(walkers)]
-        scores = yield np.stack([transformed(r, t) for r, t in states])
-        current = [Pose(r, t, float(score)) for (r, t), score in zip(states, scores)]
-        per_walker = [[pose] for pose in current]
+        rotations = np.stack([r for r, _ in states])
+        translations = np.stack([t for _, t in states])
+        current = (yield transformed(rotations, translations)).tolist()
+        per_walker = [[Pose(r, t, score)] for (r, t), score in zip(states, current)]
+        normals = np.empty((walkers, 7))
         for _ in range(max(1, steps // walkers)):
-            states = [self._proposal_state(current[w], rngs[w]) for w in range(walkers)]
-            scores = yield np.stack([transformed(r, t) for r, t in states])
-            for walker, ((r, t), score) in enumerate(zip(states, scores)):
+            for walker, walker_rng in enumerate(rngs):
+                walker_rng.standard_normal(out=normals[walker])
+            turns, offsets = self._perturbations(normals)
+            proposed_rotations = turns @ rotations
+            proposed_translations = translations + offsets
+            scores = yield transformed(proposed_rotations, proposed_translations)
+            for walker, score in enumerate(scores.tolist()):
                 # Metropolis test: a uniform is drawn only for uphill moves.
-                delta = float(score) - current[walker].score
+                delta = score - current[walker]
                 if delta <= 0 or rngs[walker].random() < np.exp(-delta / self.temperature):
-                    current[walker] = Pose(r, t, float(score))
-                    per_walker[walker].append(current[walker])
+                    current[walker] = score
+                    rotations[walker] = proposed_rotations[walker]
+                    translations[walker] = proposed_translations[walker]
+                    per_walker[walker].append(
+                        Pose(proposed_rotations[walker], proposed_translations[walker], score)
+                    )
 
         # Keep the best candidates (walker-major order, stable sort),
         # deduplicated by binding mode, each polished by greedy refinement
-        # with a shrinking step on the caller's generator.
+        # with a shrinking step on the caller's generator.  A refinement
+        # step draws a fixed 7 normals whatever the scores, so each pose's
+        # whole chain of perturbations is drawn and built up front.
         candidates = sorted((p for poses in per_walker for p in poses), key=lambda p: p.score)
+        kept = np.empty((max(0, num_poses), 3))
         selected: list[Pose] = []
+        refine_scales = 0.5 / (1.0 + np.arange(max(0, refine_steps)))
         for pose in candidates:
             if len(selected) >= num_poses:
                 break
-            if all(np.linalg.norm(pose.translation - kept.translation) > 1.0 for kept in selected):
+            gaps = pose.translation - kept[: len(selected)]
+            if np.all(np.sqrt(np.vecdot(gaps, gaps)) > 1.0):
                 best = pose
-                for i in range(max(0, refine_steps)):
-                    r, t = self._proposal_state(best, rng, scale=0.5 / (1.0 + i))
+                normals = rng.standard_normal((len(refine_scales), 7))
+                turns, offsets = self._perturbations(normals, refine_scales)
+                for turn, offset in zip(turns, offsets):
+                    r = turn @ best.rotation
+                    t = best.translation + offset
                     (score,) = yield transformed(r, t)[None]
                     if score < best.score:
                         best = Pose(r, t, float(score))
+                kept[len(selected)] = best.translation
                 selected.append(best)
         if not selected:
             raise DockingError("pose search produced no candidates")

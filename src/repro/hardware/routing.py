@@ -19,8 +19,10 @@ pulses on the critical path).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 from repro.exceptions import TranspilerError
 from repro.hardware.coupling import heavy_hex_coupling_map, longest_chain

@@ -8,7 +8,7 @@ from repro.bio.reference import ReferenceStructureGenerator
 from repro.docking.ligand import Ligand, SyntheticLigandGenerator
 from repro.docking.pocket import find_pocket, find_pockets
 from repro.docking.scoring import CUTOFF, ScoringWeights, VinaScoringFunction
-from repro.docking.search import MonteCarloPoseSearch, Pose, walker_rngs
+from repro.docking.search import MonteCarloPoseSearch, Pose, run_lockstep, walker_rngs
 from repro.docking.vina import DockingEngine, DockingResult, pose_rmsd_lower, pose_rmsd_upper
 from repro.exceptions import DockingError
 from repro.utils.rng import child_seed, rng_for
@@ -58,6 +58,17 @@ def test_ligand_centered_uses_anchor(ligand):
     centered = ligand.centered()
     assert np.allclose(centered.coords, ligand.coords - ligand.anchor)
     assert np.allclose(centered.anchor, 0.0)
+
+
+def test_ligand_transformed_stack_matches_one_pose_at_a_time(ligand):
+    rng = np.random.default_rng(2)
+    rotations = np.stack([random_rotation(rng) for _ in range(6)])
+    translations = rng.normal(scale=5.0, size=(6, 3))
+    stacked = ligand.transformed(rotations, translations)
+    assert stacked.shape == (6, ligand.num_atoms, 3)
+    for r, t, coords in zip(rotations, translations, stacked):
+        assert np.array_equal(coords, ligand.coords @ r.T + t)
+        assert np.array_equal(coords, ligand.transformed(r, t))
 
 
 def test_ligand_size_scales_with_fragment_length(reference_record):
@@ -346,6 +357,22 @@ def _oracle_search(search, steps, rng, num_poses, restarts=3, refine_steps=25):
     return selected
 
 
+@pytest.mark.parametrize(
+    "restarts, refine_steps, num_poses",
+    [(r, k, 5) for r in (1, 3, 8) for k in (0, 1, 25)] + [(3, 25, 1), (8, 1, 1)],
+)
+def test_search_matches_sequential_oracle(reference_record, ligand, restarts, refine_steps, num_poses):
+    scorer = VinaScoringFunction(reference_record.structure, ligand.centered())
+    search = MonteCarloPoseSearch(scorer, find_pocket(reference_record.structure).center)
+    got = search.search(48, np.random.default_rng(11), num_poses, restarts, refine_steps)
+    want = _oracle_search(search, 48, np.random.default_rng(11), num_poses, restarts, refine_steps)
+    assert len(got) == len(want) <= num_poses
+    for a, b in zip(got, want):
+        assert a.score == b.score
+        assert np.array_equal(a.rotation, b.rotation)
+        assert np.array_equal(a.translation, b.translation)
+
+
 def _oracle_dock(engine, prepared, receptor_id):
     """The sequential multi-seed loop, frozen: ``{seed: top poses}``."""
     runs = {}
@@ -440,6 +467,28 @@ def test_lockstep_makes_one_scoring_call_per_round(reference_record, ligand, mon
     assert len(calls) == max(requests)
     # Every round batches the requests of the seeds still running.
     assert calls[0] > calls[-1]
+
+
+@pytest.mark.parametrize("batch", [True, False], ids=["lockstep", "sequential"])
+def test_run_lockstep_hands_back_mixed_size_replies(reference_record, ligand, batch):
+    scorer = VinaScoringFunction(reference_record.structure, ligand)
+    poses = _pose_batch(ligand, find_pocket(reference_record.structure).center, 8, seed=4)
+
+    def requester(sizes):
+        exchanged, start = [], 0
+        for size in sizes:
+            request = np.take(poses, range(start, start + size), axis=0, mode="wrap")
+            exchanged.append((request, (yield request)))
+            start = (start + size) % len(poses)
+        return exchanged
+
+    # Rounds mix one-pose and eight-pose requests, and coroutines end apart.
+    plans = [[1, 8, 1], [8, 1], [1, 1, 1, 8], [8]]
+    results = run_lockstep([requester(sizes) for sizes in plans], scorer, batch)
+    for sizes, exchanged in zip(plans, results):
+        assert [len(reply) for _, reply in exchanged] == sizes
+        for request, reply in exchanged:
+            assert np.array_equal(reply, [scorer.score_coords(pose) for pose in request])
 
 
 def test_lockstep_seed_error_propagates_and_closes_the_other_seeds(reference_record, ligand):

@@ -13,6 +13,7 @@ from repro.bio.geometry import (
     pairwise_distances,
     radius_of_gyration,
     random_rotation,
+    rotation_matrices,
     rotation_matrix,
     superimpose,
 )
@@ -30,6 +31,51 @@ def test_rotation_matrix_is_orthogonal():
 def test_rotation_matrix_zero_axis_raises():
     with pytest.raises(ValueError):
         rotation_matrix(np.zeros(3), 0.5)
+
+
+def _scalar_rodrigues(axis, angle):
+    """The one-axis Rodrigues formula, frozen: ``np.linalg.norm`` and Python scalars."""
+    axis = np.asarray(axis, dtype=float)
+    x, y, z = axis / np.linalg.norm(axis)
+    c, s = np.cos(angle), np.sin(angle)
+    C = 1.0 - c
+    return np.array(
+        [
+            [x * x * C + c, x * y * C - z * s, x * z * C + y * s],
+            [y * x * C + z * s, y * y * C + c, y * z * C - x * s],
+            [z * x * C - y * s, z * y * C + x * s, z * z * C + c],
+        ]
+    )
+
+
+@pytest.mark.parametrize("count", [1, 2, 5, 7, 8, 25])
+def test_rotation_matrices_match_the_scalar_formula_bitwise(count):
+    rng = np.random.default_rng(count)
+    for _ in range(40):
+        axes = rng.normal(size=(count, 3)) * 10.0 ** rng.uniform(-150, 150, size=(count, 1))
+        angles = rng.normal(scale=rng.choice([1e-8, 0.5, 3.0, 100.0]), size=count)
+        stacked = rotation_matrices(axes, angles)
+        assert stacked.shape == (count, 3, 3)
+        for axis, angle, rot in zip(axes, angles, stacked):
+            assert np.array_equal(rot, _scalar_rodrigues(axis, float(angle)))
+            assert np.array_equal(rot, rotation_matrix(axis, float(angle)))
+
+
+def test_rotation_matrices_edge_angles_and_axis_norms():
+    axes = np.array(
+        [[1.0, 2.0, 3.0], [1e-150, -2e-150, 5e-151], [1e150, 3e150, -2e150], [0.0, 0.0, -4.0]]
+    )
+    for angle in (0.0, np.pi, -np.pi, -0.0):
+        stacked = rotation_matrices(axes, np.full(len(axes), angle))
+        for axis, rot in zip(axes, stacked):
+            assert np.array_equal(rot, _scalar_rodrigues(axis, angle))
+    assert np.array_equal(rotation_matrices(axes, np.zeros(4)), np.broadcast_to(np.eye(3), (4, 3, 3)))
+
+
+def test_rotation_matrices_zero_axis_raises():
+    axes = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(ValueError):
+        rotation_matrices(axes, np.array([0.3, 0.5]))
 
 
 def test_angle_between_orthogonal_vectors():

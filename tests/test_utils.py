@@ -1,9 +1,15 @@
 """Tests for the shared utilities: RNG derivation, parallel execution, JSON I/O, config."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import repro
 from repro.config import PipelineConfig
 from repro.utils.io import read_json, write_json
 from repro.utils.parallel import ParallelExecutor, chunked, parallel_map
@@ -107,3 +113,21 @@ def test_config_presets_and_updates():
     updated = fast.with_updates(docking_seeds=9)
     assert updated.docking_seeds == 9
     assert fast.docking_seeds != 9  # original untouched (frozen dataclass)
+
+
+# -- package import ---------------------------------------------------------------
+
+
+def test_import_repro_defers_scipy_optimize_and_networkx():
+    # Folding imports scipy.optimize and the coupling-map builders import
+    # networkx on first use; a bare ``import repro`` must pay for neither.
+    src = Path(repro.__file__).resolve().parents[1]
+    probe = "import sys, repro; print(sorted({'scipy.optimize', 'networkx'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.stdout.strip() == "[]"
