@@ -15,6 +15,7 @@ import argparse
 from repro import DatasetBuilder, PipelineConfig
 from repro.analysis.comparison import compare_methods
 from repro.analysis.report import format_table, winrate_report
+from repro.cli import configure_logging
 
 
 def main() -> None:
@@ -29,6 +30,7 @@ def main() -> None:
         help="persistent result cache; re-runs skip already-computed folds, baselines and docking searches",
     )
     args = parser.parse_args()
+    configure_logging()  # the engine's per-phase progress lines, on stderr
 
     builder = DatasetBuilder(
         config=PipelineConfig.fast(), processes=args.processes, cache_dir=args.cache_dir

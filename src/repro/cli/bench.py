@@ -44,6 +44,7 @@ from repro.bench.trajectory import (
     validate_report,
     write_report,
 )
+from repro.cli import configure_logging
 from repro.config import PipelineConfig
 from repro.exceptions import ReproError
 
@@ -172,6 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Console entry point (``repro-bench``)."""
     args = build_parser().parse_args(argv)
+    configure_logging()
     if args.against is not None and args.validate is None:
         print("repro-bench: --against requires --validate", file=sys.stderr)
         return 2

@@ -34,6 +34,7 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
+from repro.cli import configure_logging
 from repro.engine.cache import RemoteTier, ResultCache, parse_tier_spec
 from repro.exceptions import EngineError
 from repro.utils.io import read_json
@@ -260,6 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Console entry point (``repro-cache``)."""
     args = build_parser().parse_args(argv)
+    configure_logging()
     return args.func(args)
 
 

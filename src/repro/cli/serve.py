@@ -31,6 +31,7 @@ import json
 import signal
 import sys
 
+from repro.cli import configure_logging
 from repro.serve.server import (
     DEFAULT_MAX_INFLIGHT,
     DEFAULT_MAX_PENDING,
@@ -78,6 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Console entry point (``repro-serve``)."""
     args = build_parser().parse_args(argv)
+    configure_logging()
     for module in args.preload:
         try:
             importlib.import_module(module)

@@ -33,6 +33,7 @@ import json
 import sys
 from pathlib import Path
 
+from repro.cli import configure_logging
 from repro.config import PipelineConfig
 from repro.engine.core import Engine
 from repro.engine.session import ON_ERROR_POLICIES, SessionJournal, SessionProgress
@@ -251,6 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Console entry point (``repro-session``)."""
     args = build_parser().parse_args(argv)
+    configure_logging()
     return args.func(args)
 
 

@@ -35,6 +35,7 @@ import argparse
 import importlib
 import sys
 
+from repro.cli import configure_logging
 from repro.engine.scheduler import parse_tags
 from repro.engine.transports.filequeue import (
     DEFAULT_LEASE_TIMEOUT,
@@ -92,6 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Console entry point (``repro-worker``)."""
     args = build_parser().parse_args(argv)
+    configure_logging()
     for module in args.preload:
         try:
             importlib.import_module(module)

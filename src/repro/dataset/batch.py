@@ -32,6 +32,7 @@ from the entry list instead of aborting the whole build.
 from __future__ import annotations
 
 import hashlib
+import logging
 from dataclasses import dataclass
 
 from repro.bio.reference import ReferenceRecord, ReferenceStructureGenerator
@@ -41,14 +42,12 @@ from repro.dataset.entry import MethodEvaluation, QDockBankEntry
 from repro.dataset.fragments import Fragment
 from repro.docking.ligand import Ligand, SyntheticLigandGenerator
 from repro.docking.vina import DockingResult
-from repro.engine.core import Engine
+from repro.engine.core import Engine, worker_pool
 from repro.engine.session import JobFailure
 from repro.folding.baselines import BASELINE_PREDICTORS
 from repro.folding.predictor import FoldingPrediction
-from repro.utils.logging import get_logger
-from repro.utils.parallel import ParallelExecutor
 
-logger = get_logger(__name__)
+logger = logging.getLogger(__name__)
 
 #: Baseline methods evaluated next to the quantum prediction — derived from
 #: the predictor registry so a newly registered baseline is picked up here.
@@ -57,7 +56,7 @@ BASELINE_METHODS: tuple[str, ...] = tuple(BASELINE_PREDICTORS)
 
 @dataclass(frozen=True)
 class _ContextTask:
-    """Input of :func:`prepare_context` (picklable for the executor)."""
+    """Input of :func:`prepare_context` (picklable for the worker pool)."""
 
     fragment: Fragment
     config: PipelineConfig
@@ -119,16 +118,18 @@ def _assemble_entry(
 
 
 class BatchProcessor:
-    """Builds entries for many fragments, optionally on a process pool."""
+    """Builds entries for many fragments through one engine.
+
+    The engine alone decides where work runs: both engine phases and the
+    reference/ligand preparation use its worker count (``engine.processes``).
+    """
 
     def __init__(
         self,
         config: PipelineConfig | None = None,
-        executor: ParallelExecutor | None = None,
         engine: Engine | None = None,
     ):
         self.config = config or PipelineConfig()
-        self.executor = executor or ParallelExecutor(processes=0)
         self.engine = engine or Engine(config=self.config)
 
     def _run_phase(
@@ -147,7 +148,6 @@ class BatchProcessor:
         session = self.engine.submit(
             specs,
             session_id=f"build-{phase}-{digest[:12]}",
-            processes=self.executor.processes,
             progress=progress,
         )
         return session.results()
@@ -218,16 +218,16 @@ class BatchProcessor:
 
         # Phase 2: derive references/ligands for the surviving fragments, then
         # every docking search through an engine session (seeded per receptor
-        # identity and run index).
-        contexts = dict(
-            zip(
-                alive,
-                self.executor.map(
-                    prepare_context,
-                    [_ContextTask(fragment=fragments[i], config=config) for i in alive],
-                ),
-            )
-        )
+        # identity and run index).  prepare_context is called through its
+        # module-global name, where a profiler may have wrapped it.
+        tasks = [_ContextTask(fragment=fragments[i], config=config) for i in alive]
+        processes = self.engine.processes
+        if processes <= 1 or len(tasks) <= 1:
+            prepared = [prepare_context(task) for task in tasks]
+        else:
+            with worker_pool(processes) as pool:
+                prepared = list(pool.map(prepare_context, tasks))
+        contexts = dict(zip(alive, prepared))
         dock_specs = []
         dock_owner: list[int] = []
         for i in alive:

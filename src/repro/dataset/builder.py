@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 from pathlib import Path
 
 from repro.config import PipelineConfig
@@ -10,10 +11,8 @@ from repro.dataset.batch import BatchProcessor
 from repro.dataset.fragments import PAPER_FRAGMENTS, Fragment, fragments_by_group
 from repro.engine.core import Engine
 from repro.exceptions import DatasetError
-from repro.utils.logging import get_logger
-from repro.utils.parallel import ParallelExecutor
 
-logger = get_logger(__name__)
+logger = logging.getLogger(__name__)
 
 
 class DatasetBuilder:
@@ -25,8 +24,9 @@ class DatasetBuilder:
         Pipeline configuration (use :meth:`PipelineConfig.paper` for
         full-fidelity runs, :meth:`PipelineConfig.fast` for CI-scale runs).
     processes:
-        Worker processes for the engine fan-out and batch stage; ``0``/``1``
-        runs serially (results are bit-identical either way).
+        Worker processes of the engine, which runs every stage of the build;
+        ``None`` uses ``config.engine_workers``, ``0``/``1`` runs serially
+        (results are bit-identical either way).
     cache_dir:
         Directory of the engine's persistent result cache (folds, baseline
         folds and docking searches alike); repeated builds over the same
@@ -38,16 +38,12 @@ class DatasetBuilder:
     def __init__(
         self,
         config: PipelineConfig | None = None,
-        processes: int = 0,
+        processes: int | None = None,
         cache_dir: str | Path | None = None,
     ):
         self.config = config or PipelineConfig()
         self.engine = Engine(config=self.config, cache=cache_dir, processes=processes)
-        self.processor = BatchProcessor(
-            config=self.config,
-            executor=ParallelExecutor(processes=processes),
-            engine=self.engine,
-        )
+        self.processor = BatchProcessor(config=self.config, engine=self.engine)
 
     # -- fragment selection ----------------------------------------------------------
 

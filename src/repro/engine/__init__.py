@@ -95,7 +95,6 @@ from repro.engine.transports import (
     RemoteJobError,
     SerialTransport,
     Transport,
-    TransportCapabilities,
     make_transport,
     register_transport,
     transport_names,
@@ -142,7 +141,6 @@ __all__ = [
     "SessionProgress",
     "TieredCache",
     "Transport",
-    "TransportCapabilities",
     "backend_names",
     "capabilities_match",
     "config_fingerprint",

@@ -19,6 +19,7 @@ eviction already has.
 
 from __future__ import annotations
 
+import logging
 import socket
 import threading
 import uuid
@@ -26,9 +27,8 @@ from typing import Any
 
 from repro.engine.cache.base import CacheEntry, CacheStats, LocationToken
 from repro.exceptions import EngineError
-from repro.utils.logging import get_logger
 
-logger = get_logger(__name__)
+logger = logging.getLogger(__name__)
 
 #: Seconds allowed for connect + handshake and for each request round trip.
 DEFAULT_TIMEOUT = 30.0

@@ -31,6 +31,7 @@ cache state.
 
 from __future__ import annotations
 
+import logging
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -59,9 +60,8 @@ from repro.engine.transports import Transport, make_transport
 from repro.exceptions import EngineError
 from repro.folding.predictor import FoldingPrediction, fold_fragment
 from repro.lattice.hamiltonian import HamiltonianWeights
-from repro.utils.logging import get_logger
 
-logger = get_logger(__name__)
+logger = logging.getLogger(__name__)
 
 
 #: Registry entries already warned about as unpicklable — one warning per

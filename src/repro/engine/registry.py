@@ -115,11 +115,6 @@ def registry_snapshot() -> dict[str, BackendBuilder]:
     return dict(_REGISTRY)
 
 
-def restore_registry(builders: dict[str, BackendBuilder]) -> None:
-    """Merge ``builders`` into the registry (worker-process initializer)."""
-    _REGISTRY.update(builders)
-
-
 def make_backend(name: str | None = None, config: PipelineConfig | None = None) -> Backend:
     """Build the backend registered under ``name``, configured from ``config``.
 

@@ -52,6 +52,7 @@ source of results, and losing either only ever costs recompute time.
 from __future__ import annotations
 
 import json
+import logging
 import os
 import pickle
 import uuid
@@ -62,9 +63,8 @@ from typing import Any, Callable, Iterator, Sequence
 from repro.engine.jobs import result_from_payload
 from repro.exceptions import EngineError
 from repro.utils.io import utcnow_iso
-from repro.utils.logging import get_logger
 
-logger = get_logger(__name__)
+logger = logging.getLogger(__name__)
 
 #: Schema version of the journal header; bump on incompatible format changes.
 SESSION_SCHEMA_VERSION = "session/v1"

@@ -14,9 +14,7 @@ and distributed runs are bit-identical.
 Transports are *configuration*, not code: they register by name
 (:func:`register_transport`) and the engine resolves
 ``PipelineConfig.transport`` through :func:`make_transport`, exactly like the
-backend and executor registries.  :attr:`Transport.capabilities` advertises
-what a transport can promise (ordered completions, remote workers, a shared
-in-process registry) so callers can warn or adapt instead of guessing.
+backend and executor registries.
 
 A transport instance serves **one batch**: ``submit`` may be called once,
 ``poll`` drains it incrementally, and ``cancel`` (idempotent) releases its
@@ -28,38 +26,12 @@ the session consumes — cancellation on early exit comes for free from the
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 from typing import Any, Callable, ClassVar, Iterator, Sequence
 
 from repro.exceptions import EngineError
 
 #: One completion: (submission index, result or None, exception or None).
 Completion = tuple[int, Any | None, BaseException | None]
-
-
-@dataclass(frozen=True)
-class TransportCapabilities:
-    """What a transport can promise to its consumer.
-
-    Attributes
-    ----------
-    ordered:
-        Completions arrive in submission order (serial execution does;
-        anything concurrent does not).
-    remote:
-        Jobs may execute outside this process tree — in daemons that started
-        before this process and know nothing about it.  Remote transports
-        cannot see executors or backends registered at runtime in this
-        process unless the workers preloaded the registering module.
-    shared_registry:
-        Workers observe this process's live backend/executor registries
-        (in-process execution) or a pickled snapshot of them (process pool).
-        ``False`` for remote transports.
-    """
-
-    ordered: bool = False
-    remote: bool = False
-    shared_registry: bool = True
 
 
 class Transport(abc.ABC):
@@ -76,7 +48,6 @@ class Transport(abc.ABC):
 
     #: Registry name of this transport.
     name: ClassVar[str] = "abstract"
-    capabilities: ClassVar[TransportCapabilities] = TransportCapabilities()
 
     @abc.abstractmethod
     def submit(self, specs: Sequence[Any]) -> int:

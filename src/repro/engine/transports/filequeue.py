@@ -89,6 +89,7 @@ checked.  Both copies would produce identical bytes anyway.
 from __future__ import annotations
 
 import json
+import logging
 import os
 import pickle
 import subprocess
@@ -116,14 +117,12 @@ from repro.engine.transports.base import (
     Completion,
     RemoteJobError,
     Transport,
-    TransportCapabilities,
     register_transport,
 )
 from repro.exceptions import EngineError
 from repro.utils.io import utcnow_iso
-from repro.utils.logging import get_logger
 
-logger = get_logger(__name__)
+logger = logging.getLogger(__name__)
 
 #: Default lease timeout (seconds): a claim untouched this long is considered
 #: abandoned by a dead worker and its task is requeued.
@@ -807,9 +806,6 @@ class FileQueueTransport(Transport):
     """
 
     name: ClassVar[str] = "filequeue"
-    capabilities: ClassVar[TransportCapabilities] = TransportCapabilities(
-        ordered=False, remote=True, shared_registry=False
-    )
 
     def __init__(
         self,

@@ -15,66 +15,54 @@ from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wai
 from typing import Any, ClassVar, Sequence
 
 from repro.engine import records
-from repro.engine.transports.base import (
-    Completion,
-    Transport,
-    TransportCapabilities,
-    register_transport,
-)
+from repro.engine.transports.base import Completion, Transport, register_transport
 from repro.exceptions import EngineError
-from repro.utils.parallel import serial_stream
 
 
 class SerialTransport(Transport):
     """Execute jobs one at a time in the calling process (submission order)."""
 
     name: ClassVar[str] = "serial"
-    capabilities: ClassVar[TransportCapabilities] = TransportCapabilities(
-        ordered=True, remote=False, shared_registry=True
-    )
 
     def __init__(self) -> None:
-        self._stream: Any = None
-        self._remaining = 0
+        self._specs: list[Any] = []
+        self._next = 0
         self._submitted = False
 
     def submit(self, specs: Sequence[Any]) -> int:
         if self._submitted:
             raise EngineError("a transport serves one batch; submit() was already called")
         self._submitted = True
-        specs = list(specs)
-        self._remaining = len(specs)
-        self._stream = serial_stream(records.execute, specs)
-        return self._remaining
+        self._specs = list(specs)
+        return len(self._specs)
 
     def poll(self, timeout: float | None = None) -> list[Completion]:
-        """Execute the next queued job and return its completion."""
-        if self._remaining <= 0:
+        """Execute the next queued job and return its completion.
+
+        A failing job becomes an ``(index, None, exception)`` completion; it
+        never stops the batch — isolation is the session's policy decision.
+        """
+        if self.outstanding() <= 0:
             return []
+        index = self._next
+        self._next += 1
         try:
-            completion = next(self._stream)
-        except StopIteration:
-            self._remaining = 0
-            return []
-        self._remaining -= 1
-        return [completion]
+            result = records.execute(self._specs[index])
+        except Exception as exc:
+            return [(index, None, exc)]
+        return [(index, result, None)]
 
     def cancel(self) -> None:
-        self._remaining = 0
-        if self._stream is not None:
-            self._stream.close()
+        self._next = len(self._specs)
 
     def outstanding(self) -> int:
-        return self._remaining
+        return len(self._specs) - self._next
 
 
 class PoolTransport(Transport):
     """Fan the batch out over a process pool; completions in completion order."""
 
     name: ClassVar[str] = "pool"
-    capabilities: ClassVar[TransportCapabilities] = TransportCapabilities(
-        ordered=False, remote=False, shared_registry=True
-    )
 
     def __init__(self, processes: int):
         self.processes = max(1, int(processes))

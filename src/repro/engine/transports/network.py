@@ -30,6 +30,7 @@ choice (with ``serve_host``/``serve_port`` naming the server).
 
 from __future__ import annotations
 
+import logging
 import os
 import socket
 import time
@@ -42,7 +43,6 @@ from repro.engine.transports.base import (
     Completion,
     RemoteJobError,
     Transport,
-    TransportCapabilities,
     register_transport,
 )
 from repro.exceptions import EngineError
@@ -53,9 +53,8 @@ from repro.serve.protocol import (
     recv_message,
     send_message,
 )
-from repro.utils.logging import get_logger
 
-logger = get_logger(__name__)
+logger = logging.getLogger(__name__)
 
 #: Default per-batch in-flight window (clamped by the server's advertisement).
 DEFAULT_MAX_INFLIGHT = 32
@@ -69,7 +68,6 @@ class NetworkTransport(Transport):
     """Execute one batch on a remote ``repro-serve`` over a socket."""
 
     name = "network"
-    capabilities = TransportCapabilities(ordered=False, remote=True, shared_registry=False)
 
     def __init__(
         self,

@@ -95,18 +95,18 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
     return b"".join(chunks)
 
 
-def recv_message(sock: socket.socket) -> dict[str, Any]:
-    """Read one frame, blocking until it is complete.
-
-    Raises ``ConnectionError`` on EOF and :class:`ProtocolError` on a frame
-    that is oversized or does not decode to a message dict.
-    """
-    (length,) = _LENGTH.unpack(_recv_exact(sock, _LENGTH.size))
+def _body_length(header: bytes) -> int:
+    """The body length a frame's prefix announces, refusing oversized frames."""
+    (length,) = _LENGTH.unpack(header)
     if length > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"peer announced a {length}-byte frame (cap {MAX_FRAME_BYTES})"
         )
-    body = _recv_exact(sock, length)
+    return length
+
+
+def _decode(body: bytes) -> dict[str, Any]:
+    """Unpickle one frame body into a message dict."""
     try:
         message = pickle.loads(body)
     except Exception as exc:
@@ -114,6 +114,16 @@ def recv_message(sock: socket.socket) -> dict[str, Any]:
     if not isinstance(message, dict) or "type" not in message:
         raise ProtocolError(f"frame is not a message dict: {type(message).__name__}")
     return message
+
+
+def recv_message(sock: socket.socket) -> dict[str, Any]:
+    """Read one frame, blocking until it is complete.
+
+    Raises ``ConnectionError`` on EOF and :class:`ProtocolError` on a frame
+    that is oversized or does not decode to a message dict.
+    """
+    length = _body_length(_recv_exact(sock, _LENGTH.size))
+    return _decode(_recv_exact(sock, length))
 
 
 class FrameBuffer:
@@ -135,22 +145,9 @@ class FrameBuffer:
         """The next complete message, or ``None`` when more bytes are needed."""
         if len(self._buffer) < _LENGTH.size:
             return None
-        (length,) = _LENGTH.unpack(self._buffer[: _LENGTH.size])
-        if length > MAX_FRAME_BYTES:
-            raise ProtocolError(
-                f"peer announced a {length}-byte frame (cap {MAX_FRAME_BYTES})"
-            )
-        end = _LENGTH.size + length
+        end = _LENGTH.size + _body_length(self._buffer[: _LENGTH.size])
         if len(self._buffer) < end:
             return None
         body = bytes(self._buffer[_LENGTH.size : end])
         del self._buffer[:end]
-        try:
-            message = pickle.loads(body)
-        except Exception as exc:
-            raise ProtocolError(
-                f"cannot decode frame: {type(exc).__name__}: {exc}"
-            ) from exc
-        if not isinstance(message, dict) or "type" not in message:
-            raise ProtocolError(f"frame is not a message dict: {type(message).__name__}")
-        return message
+        return _decode(body)

@@ -38,6 +38,7 @@ callbacks.  All admission counters live behind one server lock.
 from __future__ import annotations
 
 import json
+import logging
 import os
 import queue
 import socket
@@ -56,9 +57,8 @@ from repro.serve.protocol import (
     recv_message,
     send_message,
 )
-from repro.utils.logging import get_logger
 
-logger = get_logger(__name__)
+logger = logging.getLogger(__name__)
 
 #: Default per-client in-flight job cap (the admission-control window a
 #: server advertises in its ``welcome`` frame).

@@ -1,16 +1,12 @@
-"""Shared infrastructure: logging, deterministic RNG, parallel execution, I/O."""
+"""Shared infrastructure: deterministic RNG and JSON I/O."""
 
 from repro.utils.rng import child_seed, rng_for, spawn_rngs
-from repro.utils.parallel import ParallelExecutor, chunked, parallel_map
 from repro.utils.io import read_json, write_json, ensure_dir
 
 __all__ = [
     "child_seed",
     "rng_for",
     "spawn_rngs",
-    "ParallelExecutor",
-    "chunked",
-    "parallel_map",
     "read_json",
     "write_json",
     "ensure_dir",

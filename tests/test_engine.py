@@ -16,7 +16,7 @@ from repro.engine import (
     make_backend,
     register_backend,
 )
-from repro.engine.registry import registry_snapshot, restore_registry
+from repro.engine.registry import registry_snapshot, restore_registries
 from repro.exceptions import BackendError, EngineError
 from repro.folding.predictor import QuantumFoldingPredictor
 from repro.hardware.eagle import EagleEmulatorBackend
@@ -146,7 +146,7 @@ def test_content_hash_memo_is_dropped_on_pickle(engine_config):
 def test_registry_snapshot_roundtrips_through_restore():
     snapshot = registry_snapshot()
     assert "auto" in snapshot
-    restore_registry(snapshot)  # idempotent merge of the worker initializer
+    restore_registries(snapshot, {})  # idempotent merge of the worker initializer
     assert registry_snapshot() == snapshot
 
 

@@ -130,6 +130,17 @@ def test_protocol_rejects_oversize_and_malformed_frames():
     buffer.feed(encode_frame({"no-type-key": 1}))
     with pytest.raises(ProtocolError, match="not a message dict"):
         buffer.next_message()
+    # The blocking socket reader shares the buffer's decoder and its errors.
+    left, right = socket.socketpair()
+    with left, right:
+        left.sendall(b"\xff\xff\xff\xff")
+        with pytest.raises(ProtocolError, match="cap"):
+            recv_message(right)
+        left.sendall(encode_frame({"no-type-key": 1}) + b"\x00\x00\x00\x02xx")
+        with pytest.raises(ProtocolError, match="not a message dict"):
+            recv_message(right)
+        with pytest.raises(ProtocolError, match="cannot decode frame"):
+            recv_message(right)
 
 
 # -- handshake and admission control -------------------------------------------------

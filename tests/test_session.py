@@ -17,7 +17,7 @@ from repro.cli.session import main as session_cli_main
 from repro.config import PipelineConfig
 from repro.dataset.batch import BatchProcessor
 from repro.dataset.builder import DatasetBuilder
-from repro.engine import Engine, JobFailure, SessionJournal
+from repro.engine import Engine, JobFailure, PoolTransport, SessionJournal
 from repro.engine.core import execute_fold_job
 from repro.engine.registry import register_executor
 from repro.exceptions import EngineError
@@ -644,6 +644,60 @@ def test_batch_processor_isolates_a_failed_fragment():
         assert engine.stats()["executed_by_kind"]["dock"] == 3
     finally:
         register_executor("fold", execute_fold_job, overwrite=True)
+
+
+def test_batch_processor_sessions_run_on_the_engine_worker_count(monkeypatch):
+    config = PipelineConfig(
+        vqe_iterations=4,
+        optimisation_shots=24,
+        final_shots=48,
+        ansatz_reps=1,
+        docking_seeds=2,
+        docking_poses=2,
+        docking_mc_steps=20,
+        seed=9,
+    )
+    engine = Engine(config=config, processes=2)
+    sessions = []
+    submit = engine.submit
+
+    def spy(*args, **kwargs):
+        sessions.append(submit(*args, **kwargs))
+        return sessions[-1]
+
+    monkeypatch.setattr(engine, "submit", spy)
+    fragments = DatasetBuilder.select_fragments(pdb_ids=["3eax"])
+    entries = BatchProcessor(config=config, engine=engine).build_entries(fragments)
+    assert [entry.fragment.pdb_id for entry in entries] == ["3eax"]
+    assert [session.processes for session in sessions] == [2, 2]  # fold, dock
+    assert all(isinstance(session.transport, PoolTransport) for session in sessions)
+
+
+def test_dataset_builder_defaults_to_the_configured_engine_workers():
+    config = PipelineConfig(seed=9)
+    assert DatasetBuilder(config.with_updates(engine_workers=2)).engine.processes == 2
+    assert DatasetBuilder(config, processes=3).engine.processes == 3
+
+
+def _structures(bank):
+    for entry in bank.entries:
+        yield entry.predicted_structure
+        yield entry.reference_structure
+        yield from entry.baseline_structures.values()
+
+
+def test_pooled_dataset_build_is_bit_identical_to_serial(fast_config):
+    """The reference/ligand preparation and both engine phases on a 2-process
+    pool reproduce the serial build byte for byte."""
+    fragments = DatasetBuilder.select_fragments(groups=["S"], limit_per_group=2)
+    serial = DatasetBuilder(fast_config, processes=0).build(fragments)
+    pooled = DatasetBuilder(fast_config, processes=2).build(fragments)
+    assert len(serial) == len(pooled) == 2
+    for a, b in zip(serial.entries, pooled.entries):
+        assert a.fragment == b.fragment
+        assert a.evaluations == b.evaluations
+    for a, b in zip(_structures(serial), _structures(pooled), strict=True):
+        assert a.all_coords().tobytes() == b.all_coords().tobytes()
 
 
 def test_batch_processor_on_error_raise_aborts_the_build():

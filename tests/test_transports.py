@@ -129,20 +129,6 @@ def test_transport_registry_and_auto_resolution():
         make_transport("network", config.with_updates(serve_port=0))  # nor is network
 
 
-def test_capability_flags_describe_the_transports():
-    from repro.engine import NetworkTransport
-
-    assert SerialTransport.capabilities.ordered
-    assert not SerialTransport.capabilities.remote
-    assert not PoolTransport.capabilities.ordered
-    assert PoolTransport.capabilities.shared_registry
-    assert FileQueueTransport.capabilities.remote
-    assert not FileQueueTransport.capabilities.shared_registry
-    assert NetworkTransport.capabilities.remote
-    assert not NetworkTransport.capabilities.ordered
-    assert not NetworkTransport.capabilities.shared_registry
-
-
 # -- serial transport ----------------------------------------------------------------
 
 
@@ -574,7 +560,6 @@ def test_filequeue_transport_warns_on_external_reliance_and_stall(tmp_path, capl
     import repro.engine.transports.filequeue as fq
 
     monkeypatch.setattr(fq, "_STALL_WARN_INTERVAL", 0.05)
-    monkeypatch.setattr(fq.logger, "propagate", True)  # let caplog see it
     transport = FileQueueTransport(tmp_path / "spool", workers=0, lease_timeout=5.0,
                                    poll_interval=0.01)
     with caplog.at_level("WARNING", logger=fq.logger.name):

@@ -1,4 +1,4 @@
-"""Tests for the shared utilities: RNG derivation, parallel execution, JSON I/O, config."""
+"""Tests for the shared utilities: RNG derivation, JSON I/O, config, package imports."""
 
 import os
 import subprocess
@@ -12,7 +12,6 @@ from hypothesis import given, strategies as st
 import repro
 from repro.config import PipelineConfig
 from repro.utils.io import read_json, write_json
-from repro.utils.parallel import ParallelExecutor, chunked, parallel_map
 from repro.utils.rng import child_seed, rng_for, spawn_rngs, stable_fraction
 from repro.utils.validation import as_points, require_in_range, require_positive
 
@@ -49,32 +48,6 @@ def test_stable_fraction_bounds():
         f = stable_fraction(key)
         assert 0.0 <= f < 1.0
         assert f == stable_fraction(key)
-
-
-# -- parallel -------------------------------------------------------------------------
-
-
-def _square(x):
-    return x * x
-
-
-def test_parallel_map_serial_and_pool_agree():
-    items = list(range(20))
-    serial = parallel_map(_square, items, processes=0)
-    pooled = parallel_map(_square, items, processes=2)
-    assert serial == pooled == [x * x for x in items]
-
-
-def test_chunked():
-    assert list(chunked(list(range(7)), 3)) == [[0, 1, 2], [3, 4, 5], [6]]
-    with pytest.raises(ValueError):
-        list(chunked([1], 0))
-
-
-def test_executor_starmap():
-    ex = ParallelExecutor(processes=0)
-    assert ex.is_serial
-    assert ex.starmap(pow, [(2, 3), (3, 2)]) == [8, 9]
 
 
 # -- io ----------------------------------------------------------------------------------
@@ -131,3 +104,29 @@ def test_import_repro_defers_scipy_optimize_and_networkx():
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_library_modules_leave_logging_unconfigured():
+    # Only the console tools' main() functions configure logging; importing
+    # any library module must leave every repro logger handler-free and
+    # propagating, so applications and test harnesses see its records.
+    src = Path(repro.__file__).resolve().parents[1]
+    probe = (
+        "import importlib, logging, pkgutil, repro\n"
+        "for mod in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+        "    importlib.import_module(mod.name)\n"
+        "loggers = [logging.getLogger('repro')] + [\n"
+        "    logger for name, logger in logging.Logger.manager.loggerDict.items()\n"
+        "    if name.startswith('repro.') and isinstance(logger, logging.Logger)]\n"
+        "print(len(loggers), sorted(l.name for l in loggers if l.handlers or not l.propagate))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    count, misconfigured = out.stdout.strip().split(" ", 1)
+    assert int(count) > 1  # the probe saw the library's module loggers
+    assert misconfigured == "[]"
